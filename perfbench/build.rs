@@ -1,0 +1,55 @@
+//! Stamps the compiler version and, when built from a git checkout, the
+//! commit into the binary, so every result names what produced it.
+
+use std::path::Path;
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".to_string());
+    let version = Command::new(rustc)
+        .arg("-V")
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".to_string());
+    println!("cargo:rustc-env=PERFBENCH_RUSTC={version}");
+
+    let git = Path::new(env!("CARGO_MANIFEST_DIR")).join("../.git");
+    let commit = read_head(&git).unwrap_or_else(|| "unknown (not a git checkout)".to_string());
+    println!("cargo:rustc-env=PERFBENCH_COMMIT={commit}");
+    println!("cargo:rerun-if-changed=build.rs");
+    let head = git.join("HEAD");
+    if head.exists() {
+        println!("cargo:rerun-if-changed={}", head.display());
+        if let Some(reference) = symbolic_ref(&git) {
+            let path = git.join(reference);
+            if path.exists() {
+                println!("cargo:rerun-if-changed={}", path.display());
+            }
+        }
+    }
+}
+
+fn symbolic_ref(git: &Path) -> Option<String> {
+    let head = std::fs::read_to_string(git.join("HEAD")).ok()?;
+    head.trim().strip_prefix("ref: ").map(str::to_string)
+}
+
+/// Resolve `HEAD` to a commit id without running git: a detached head
+/// holds the id, a symbolic one names a loose or packed ref.
+fn read_head(git: &Path) -> Option<String> {
+    let head = std::fs::read_to_string(git.join("HEAD")).ok()?;
+    let head = head.trim();
+    let Some(reference) = head.strip_prefix("ref: ") else {
+        return Some(head.to_string());
+    };
+    if let Ok(id) = std::fs::read_to_string(git.join(reference)) {
+        return Some(id.trim().to_string());
+    }
+    let packed = std::fs::read_to_string(git.join("packed-refs")).ok()?;
+    packed.lines().find_map(|line| {
+        let (id, name) = line.split_once(' ')?;
+        (name == reference).then(|| id.to_string())
+    })
+}
