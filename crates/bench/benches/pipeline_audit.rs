@@ -5,7 +5,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use sanity_tdr::audit_pipeline::ingest::{self, BatchStream};
-use sanity_tdr::{AuditConfig, AuditJob, Sanity};
+use sanity_tdr::{AuditConfig, AuditJob, Sanity, Sessions};
 use vm::Vm;
 use workloads::nfs;
 
@@ -78,14 +78,28 @@ fn bench(c: &mut Criterion) {
         })
     });
     group.bench_function("audit/streamed_hw8", |b| {
-        let cfg = AuditConfig::default();
+        // Like the materialized arm, each iteration spins up its own
+        // workers (no more than the high-water mark can keep busy).
+        let workers = AuditConfig::default().resolved_workers().min(8);
+        let shared: std::sync::Arc<[u8]> = bytes.clone().into();
         b.iter(|| {
-            sanity
-                .audit_stream(black_box(&bytes[..]), &cfg)
+            let service = sanity
+                .audit_service()
+                .workers(workers)
+                .high_water(8)
+                .build()
+                .expect("valid service configuration");
+            let tdrb = std::io::Cursor::new(black_box(std::sync::Arc::clone(&shared)));
+            let flagged = service
+                .submit(Sessions::tdrb(tdrb), None)
+                .expect("header decodes")
+                .wait()
                 .expect("stream audits")
                 .summary
                 .flagged
-                .len()
+                .len();
+            service.shutdown();
+            flagged
         })
     });
     group.finish();

@@ -1,6 +1,6 @@
 //! Criterion bench for the persistent audit service: warm-service
-//! repeated submission vs the one-shot `audit_batch` path, which spins a
-//! worker pool up and down per call.
+//! repeated submission vs a cold service per call, which spins a worker
+//! pool up and down every time (what `Sanity::audit_batch` does).
 //!
 //! Sessions are deliberately tiny (one echoed request each) so the fixed
 //! per-call cost — thread spawn, per-worker `ReferenceCache` build,
@@ -14,7 +14,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use jbc::hll::{dsl::*, HTy, Module};
 use jbc::ElemTy;
 use sanity_tdr::audit_pipeline::{AuditService, Reference};
-use sanity_tdr::{AuditConfig, AuditJob};
+use sanity_tdr::AuditJob;
 
 /// One-request echo server: the smallest program that still produces a
 /// packet-timing trace to audit.
@@ -70,14 +70,19 @@ fn bench(c: &mut Criterion) {
         // Cold: every call spawns `workers` threads, builds their caches,
         // audits, and tears it all down — the pre-service API cost.
         group.bench_function(format!("cold_audit_batch/4_sessions/{workers}w"), |b| {
-            let cfg = AuditConfig {
-                workers,
-                ..AuditConfig::default()
-            };
             b.iter(|| {
-                sanity_tdr::audit_pipeline::audit_batch(&reference, &jobs, &cfg)
+                let service = AuditService::builder(reference.clone())
+                    .workers(workers)
+                    .build()
+                    .expect("valid service configuration");
+                let sessions = service
+                    .submit_batch(&jobs)
+                    .wait()
+                    .expect("batch audits")
                     .summary
-                    .sessions
+                    .sessions;
+                service.shutdown();
+                sessions
             })
         });
         // Warm: the service spawns once outside the measurement loop;

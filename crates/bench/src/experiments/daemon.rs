@@ -6,8 +6,7 @@
 //! would drive). A client submits TDRB batches as
 //! `ControlFrame::SubmitBatch` requests and times each request→summary
 //! round trip; the cold baseline audits the identical bytes through the
-//! one-shot `Sanity::audit_stream`, which spawns a fresh worker pool per
-//! call. Summaries are asserted identical — the daemon can never change
+//! cold path, a fresh service (worker pool and caches) per batch. Summaries are asserted identical — the daemon can never change
 //! a verdict — and `BENCH_daemon.json` records per-batch latency for
 //! both paths plus the warm/cold ratio.
 
@@ -19,9 +18,11 @@ use jbc::hll::{dsl::*, HTy, Module};
 use jbc::ElemTy;
 use sanity_tdr::audit_pipeline::service::duplex;
 use sanity_tdr::audit_pipeline::{ingest, FleetSummary};
-use sanity_tdr::{serve_tcp, AuditConfig, AuditJob, Client, ControlFrame, Sanity};
+use sanity_tdr::{
+    serve_tcp_with, AuditConfig, AuditJob, Client, ControlFrame, DaemonOptions, Sanity,
+};
 
-use super::Options;
+use super::{audit_tdrb_cold, Options};
 
 const BATCHES: usize = 6;
 const WORKERS: usize = 4;
@@ -126,12 +127,12 @@ pub fn run(opts: &Options) {
     };
 
     // Cold baseline: every batch pays worker spawn + cache build + pool
-    // teardown inside the one-shot entry point.
+    // teardown on a fresh service.
     let mut cold_ms = Vec::with_capacity(BATCHES);
     let mut cold_summaries = Vec::with_capacity(BATCHES);
     for bytes in &batches {
         let t = Instant::now();
-        let report = sanity.audit_stream(&bytes[..], &cfg).expect("audits");
+        let report = audit_tdrb_cold(&sanity, bytes, &cfg);
         cold_ms.push(t.elapsed().as_secs_f64() * 1e3);
         cold_summaries.push(report.summary);
     }
@@ -206,7 +207,7 @@ pub fn run(opts: &Options) {
 const TCP_BATCHES_PER_CONN: usize = 3;
 
 /// `repro daemon --tcp`: the daemon behind a real localhost `TcpListener`
-/// (`serve_tcp`, connection-per-thread), swept over concurrent client
+/// (`serve_tcp_with`, connection-per-thread), swept over concurrent client
 /// connection counts. Every connection multiplexes onto the **same** warm
 /// worker pool; the sweep measures how fleet throughput scales as more
 /// log sources connect at once. Summaries are asserted byte-identical to
@@ -231,12 +232,7 @@ pub fn run_tcp(opts: &Options) {
     // The in-process reference summaries the wire results must match.
     let expected: Vec<FleetSummary> = batches
         .iter()
-        .map(|bytes| {
-            sanity
-                .audit_stream(&bytes[..], &cfg)
-                .expect("audits")
-                .summary
-        })
+        .map(|bytes| audit_tdrb_cold(&sanity, bytes, &cfg).summary)
         .collect();
 
     let sweep_conns = [1usize, 2, 4];
@@ -248,7 +244,8 @@ pub fn run_tcp(opts: &Options) {
             .build()
             .expect("valid service configuration");
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
-        let daemon = serve_tcp(service, listener).expect("daemon starts");
+        let daemon =
+            serve_tcp_with(service, listener, DaemonOptions::default()).expect("daemon starts");
         let addr = daemon.local_addr();
 
         // Clone each client's corpus *before* the timer starts: the copy
@@ -441,10 +438,7 @@ pub fn run_coordinator(opts: &Options) {
     // The single-daemon reference bytes every merged summary must match.
     let expected: Vec<Vec<u8>> = batches
         .iter()
-        .map(|bytes| {
-            let audited = sanity.audit_stream(&bytes[..], &cfg).expect("audits");
-            summary_bytes(&audited.summary)
-        })
+        .map(|bytes| summary_bytes(&audit_tdrb_cold(&sanity, bytes, &cfg).summary))
         .collect();
     let sessions = (batches.len() * per_batch) as f64;
 
@@ -477,7 +471,7 @@ pub fn run_coordinator(opts: &Options) {
                     .build()
                     .expect("valid service configuration");
                 let listener = TcpListener::bind("127.0.0.1:0").expect("bind backend");
-                serve_tcp(service, listener).expect("backend starts")
+                serve_tcp_with(service, listener, DaemonOptions::default()).expect("backend starts")
             })
             .collect();
         let addrs: Vec<String> = backends
@@ -554,7 +548,7 @@ pub fn run_coordinator(opts: &Options) {
             .build()
             .expect("valid service configuration");
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind backend");
-        serve_tcp(service, listener).expect("backend starts")
+        serve_tcp_with(service, listener, DaemonOptions::default()).expect("backend starts")
     };
     let dying = dying_backend();
     let coordinator = sanity_tdr::serve_coordinator(

@@ -10,8 +10,8 @@
 //! 2. record a mixed fleet — clean negatives plus, for each of the four
 //!    channels (IPCTC, TRCTC, MBCTC, Needle), sessions whose send timing
 //!    the channel modulates;
-//! 3. serialize the whole fleet to TDRB bytes and push it through
-//!    `Sanity::audit_stream` under `BatteryMode::Full`, so every session
+//! 3. serialize the whole fleet to TDRB bytes and stream it through an
+//!    audit service under `BatteryMode::Full`, so every session
 //!    is scored by all five detectors in one audit pass (and cross-check
 //!    the materialized `audit_batch` path produces the identical summary);
 //! 4. compute per-channel, per-detector labeled ROC/AUC from the verdicts
@@ -33,7 +33,7 @@ use vm::TargetSendTimes;
 use workloads::nfs;
 
 use super::fig8::{covert_ipds_for, targets_from_ipds};
-use super::Options;
+use super::{audit_tdrb_cold, Options};
 
 const CHANNELS: [&str; 4] = ["IPCTC", "TRCTC", "MBCTC", "Needle"];
 const DETECTORS: [&str; 5] = ["Shape test", "KS test", "RT test", "CCE test", "Sanity"];
@@ -161,7 +161,7 @@ pub fn run(opts: &Options) {
         ..AuditConfig::default()
     };
     let t = std::time::Instant::now();
-    let stream = sanity.audit_stream(&bytes[..], &cfg).expect("fleet audits");
+    let stream = audit_tdrb_cold(&sanity, &bytes, &cfg);
     let secs = t.elapsed().as_secs_f64();
     println!(
         "audited {} sessions ({} KiB TDRB) in {:.1}s on {} workers, peak {} resident",
@@ -182,7 +182,7 @@ pub fn run(opts: &Options) {
     let batch = sanity.audit_batch(&ingest::decode_batch(&bytes).expect("decodes"), &cfg);
     assert_eq!(
         batch.summary, stream.summary,
-        "audit_batch and audit_stream agree byte-for-byte"
+        "materialized and streamed audits agree byte-for-byte"
     );
 
     // 4. Per-channel, per-detector AUC from the pipeline's verdicts.

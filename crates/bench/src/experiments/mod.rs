@@ -13,6 +13,28 @@ pub mod registry;
 pub mod replay_speed;
 pub mod table2;
 
+use sanity_tdr::{AuditConfig, BatchReport, Sanity, Sessions};
+
+/// Audit the TDRB batch `tdrb` on a fresh service built from `cfg` and
+/// shut it down: the cold path, worker spawn and cache build included.
+/// Like a one-shot audit, `cfg.workers == 0` means one worker per core,
+/// and no more workers spawn than `cfg.high_water` residency slots.
+pub fn audit_tdrb_cold(sanity: &Sanity, tdrb: &[u8], cfg: &AuditConfig) -> BatchReport {
+    let workers = cfg.resolved_workers().min(cfg.high_water).max(1);
+    let service = sanity
+        .audit_service()
+        .config(AuditConfig { workers, ..*cfg })
+        .build()
+        .expect("valid audit configuration");
+    let report = service
+        .submit(Sessions::tdrb(std::io::Cursor::new(tdrb.to_vec())), None)
+        .expect("batch header decodes")
+        .wait()
+        .expect("batch audits");
+    service.shutdown();
+    report
+}
+
 /// Global harness options.
 #[derive(Debug, Clone)]
 pub struct Options {

@@ -18,11 +18,11 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use sanity_tdr::audit_pipeline::ingest;
-use sanity_tdr::{AuditConfig, AuditJob, Sanity};
+use sanity_tdr::{AuditConfig, AuditJob, Sanity, Sessions};
 use vm::Vm;
 use workloads::nfs;
 
-use super::Options;
+use super::{audit_tdrb_cold, Options};
 
 fn build_batch(opts: &Options) -> (Sanity, Vec<AuditJob>) {
     let sessions = opts.runs_or(16, 64);
@@ -90,7 +90,8 @@ pub fn run(opts: &Options) {
         let batch = jobs.clone();
         let t = Instant::now();
         let report = service
-            .submit_batch_owned(batch)
+            .submit(Sessions::Jobs(batch), None)
+            .expect("a materialized batch has no header to reject")
             .wait()
             .expect("batch submissions cannot fail ingest");
         let secs = t.elapsed().as_secs_f64();
@@ -151,9 +152,7 @@ pub fn run_stream(opts: &Options) {
     let mut rows = String::new();
     for high_water in [1usize, 2, 4, 8, 16] {
         let t = Instant::now();
-        let report = sanity
-            .audit_stream(&bytes[..], &AuditConfig { high_water, ..cfg })
-            .expect("stream audits");
+        let report = audit_tdrb_cold(&sanity, &bytes, &AuditConfig { high_water, ..cfg });
         let secs = t.elapsed().as_secs_f64();
         let rate = jobs.len() as f64 / secs;
         println!(

@@ -21,7 +21,9 @@ use std::time::Instant;
 
 use sanity_tdr::audit_pipeline::{ingest, FleetSummary};
 use sanity_tdr::jbc::container;
-use sanity_tdr::{AckStatus, AuditConfig, AuditJob, Client, ReferenceRegistry, Sanity};
+use sanity_tdr::{
+    AckStatus, AuditConfig, AuditJob, Client, DaemonOptions, ReferenceRegistry, Sanity,
+};
 use workloads::artifacts::registry_artifacts;
 
 use super::Options;
@@ -169,7 +171,8 @@ pub fn run(opts: &Options) {
             .build()
             .expect("valid configuration");
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let daemon = sanity_tdr::serve_tcp(service, listener).expect("daemon starts");
+        let daemon = sanity_tdr::serve_tcp_with(service, listener, DaemonOptions::default())
+            .expect("daemon starts");
         let addr = daemon.local_addr();
         let tdrb = ingest::encode_batch(&corpus[0].3);
         let want = expected[0].clone();
@@ -208,7 +211,8 @@ pub fn run(opts: &Options) {
             .build()
             .expect("valid configuration");
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let daemon = sanity_tdr::serve_tcp(service, listener).expect("daemon starts");
+        let daemon = sanity_tdr::serve_tcp_with(service, listener, DaemonOptions::default())
+            .expect("daemon starts");
         let addr = daemon.local_addr();
         let t = Instant::now();
         let clients: Vec<_> = corpus

@@ -24,7 +24,7 @@ use std::time::Instant;
 
 use machine::MachineConfig;
 use sanity_tdr::audit_pipeline::ingest;
-use sanity_tdr::{AuditJob, Sanity};
+use sanity_tdr::{AuditJob, Sanity, Sessions};
 use vm::{DispatchMode, VmConfig};
 use workloads::{nfs, scimark::Kernel};
 
@@ -161,7 +161,7 @@ pub fn run(opts: &Options) {
             .expect("valid service configuration");
         let t = Instant::now();
         let report = service
-            .submit_stream(std::io::Cursor::new(tdrb.clone()))
+            .submit(Sessions::tdrb(std::io::Cursor::new(tdrb.clone())), None)
             .expect("submit")
             .wait()
             .expect("batch audits");

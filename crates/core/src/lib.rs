@@ -17,19 +17,17 @@
 //!   whose timing deviates beyond the TDR noise floor;
 //! * [`Sanity::audit_service`] — the persistent, fleet-scale detector: a
 //!   builder for a long-lived [`audit_pipeline::AuditService`] whose
-//!   worker pool and reference caches stay warm across submissions, with
-//!   job tickets, a daemon loop over `ControlFrame`s, and optional
+//!   worker pool and reference caches stay warm across submissions.
+//!   [`AuditService::submit`] takes decoded jobs or a TDRB byte stream
+//!   from any `io::Read` source (decoded lazily, so a batch far larger
+//!   than RAM audits in bounded memory) and returns a job ticket; the
+//!   service also runs a daemon loop over `ControlFrame`s and optional
 //!   cross-batch battery retraining;
 //! * [`Sanity::audit_batch`] — the one-shot batch audit: shard a batch of
-//!   recorded sessions across a worker pool (`audit-pipeline`) and
-//!   aggregate per-session verdicts into a fleet summary (now a thin shim
-//!   over a temporary service, byte-identical to before);
-//! * [`Sanity::audit_stream`] — the same audit over a TDRB byte stream
-//!   from any `io::Read` source (file, socket, in-memory buffer), decoding
-//!   sessions lazily so a batch far larger than RAM audits in bounded
-//!   memory; verdicts are byte-identical to the materialized path;
+//!   recorded sessions across the workers of a temporary service and
+//!   aggregate per-session verdicts into a fleet summary;
 //! * [`Sanity::with_battery`] — attach a [`DetectorBattery`] trained on the
-//!   fleet's clean traces, and both audit paths (under
+//!   fleet's clean traces, and every audit path (under
 //!   [`BatteryMode::Full`]) score every session with all five Fig. 8
 //!   detectors in one pass, without perturbing the TDR score.
 //!
@@ -76,12 +74,12 @@ pub use sim_core;
 pub use vm;
 
 pub use audit_pipeline::{
-    serve_coordinator, serve_tcp, serve_tcp_with, AckStatus, AuditConfig, AuditJob, AuditService,
+    serve_coordinator, serve_tcp_with, AckStatus, AuditConfig, AuditJob, AuditService,
     BatchOutcome, BatchReport, BatchSummary, BatchTicket, BatteryMode, BatteryOutcome, BusyScope,
     Client, ConfigError, ControlError, ControlFrame, CoordReport, Coordinator, DaemonOptions,
     DaemonReport, IngestError, MetricsSnapshot, PutOutcome, ReferenceId, ReferenceRegistry,
-    RegistryError, RegistryLoad, ServiceBuilder, StreamReport, TcpDaemon, TenantQuota, TraceEvent,
-    TraceKind,
+    RegistryError, RegistryLoad, ServiceBuilder, Sessions, SubmitError, TcpDaemon, TenantQuota,
+    TraceEvent, TraceKind,
 };
 pub use detectors::{Detector, DetectorBattery, TraceView};
 
@@ -221,47 +219,52 @@ impl Sanity {
     /// (known-good) binary: the worker pool spawns once at `build()` and
     /// its reference caches — and the trained battery, if one is attached
     /// — stay warm across submissions. This is the continuous-auditing
-    /// entry point; [`Sanity::audit_batch`]/[`Sanity::audit_stream`] are
-    /// one-shot conveniences over a temporary service.
+    /// entry point; [`Sanity::audit_batch`] is the one-shot convenience
+    /// over a temporary service.
     ///
     /// ```no_run
-    /// # use sanity_tdr::{BatteryMode, Sanity};
+    /// # use sanity_tdr::{Sanity, Sessions};
     /// # use workloads::scimark::Kernel;
     /// # let sanity = Sanity::new(Kernel::Fft.program_small());
     /// # let tdrb_bytes: Vec<u8> = Vec::new();
     /// let service = sanity.audit_service().workers(8).build().unwrap();
-    /// let ticket = service.submit_stream(std::io::Cursor::new(tdrb_bytes)).unwrap();
+    /// let sessions = Sessions::tdrb(std::io::Cursor::new(tdrb_bytes));
+    /// let ticket = service.submit(sessions, None).unwrap();
     /// let report = ticket.wait().unwrap();
     /// ```
     pub fn audit_service(&self) -> ServiceBuilder {
         AuditService::builder(self.as_reference())
     }
 
-    /// Batch audit (§5.3 at fleet scale): shard `jobs` across a worker
-    /// pool, audit each session's log against this (known-good) binary on
-    /// a reference machine, and aggregate the verdicts. Verdicts are
-    /// deterministic — independent of worker count and shard order.
-    pub fn audit_batch(&self, jobs: &[AuditJob], cfg: &AuditConfig) -> BatchReport {
-        audit_pipeline::audit_batch(&self.as_reference(), jobs, cfg)
-    }
-
-    /// Streaming batch audit: decode a TDRB byte stream session-by-session
-    /// from `reader` and audit each against this (known-good) binary,
-    /// holding at most [`AuditConfig::high_water`] sessions resident.
+    /// Batch audit (§5.3 at fleet scale): shard `jobs` across the
+    /// workers of a temporary [`AuditService`], audit each session's log
+    /// against this (known-good) binary on a reference machine, and
+    /// aggregate the verdicts. Verdicts are deterministic — independent of
+    /// worker count and shard order. `cfg.workers == 0` means one worker
+    /// per core; no more workers than jobs are spawned. Anything auditing
+    /// continuously should hold an [`audit_service`](Self::audit_service)
+    /// instead and keep its workers warm.
     ///
-    /// This is the fleet-scale entry point — batches arrive from disk or
-    /// the network far larger than RAM, and memory stays bounded no matter
-    /// the batch size. Verdicts and the fleet summary are byte-identical
-    /// to [`Sanity::audit_batch`] over the same bytes, regardless of
-    /// worker count, read-buffer size, or high-water mark. `reader` is
-    /// buffered internally, so a raw `File` or socket is fine.
-    pub fn audit_stream(
-        &self,
-        reader: impl std::io::Read,
-        cfg: &AuditConfig,
-    ) -> Result<StreamReport, IngestError> {
-        let sessions = audit_pipeline::BatchStream::new(std::io::BufReader::new(reader))?;
-        audit_pipeline::audit_stream(&self.as_reference(), sessions, cfg)
+    /// # Panics
+    ///
+    /// If `cfg` asks for [`BatteryMode::Full`] but no trained battery is
+    /// attached ([`Sanity::with_battery`]) — a missing battery must not
+    /// silently degrade the fleet report to TDR-only.
+    pub fn audit_batch(&self, jobs: &[AuditJob], cfg: &AuditConfig) -> BatchReport {
+        let cfg = AuditConfig {
+            workers: cfg.resolved_workers().min(jobs.len()).max(1),
+            // Only a streamed submission reads the residency bound.
+            high_water: cfg.high_water.max(1),
+            ..*cfg
+        };
+        let service = self
+            .audit_service()
+            .config(cfg)
+            .build()
+            .unwrap_or_else(|e| panic!("{e}"));
+        let report = service.submit_batch(jobs).wait();
+        service.shutdown();
+        report.expect("a materialized batch cannot fail ingest")
     }
 
     /// Audit replay (§5.3): re-deliver the log's inputs at their recorded
@@ -471,10 +474,27 @@ mod tests {
         };
         let batch = s.audit_batch(&jobs, &cfg);
         let bytes = audit_pipeline::ingest::encode_batch(&jobs);
-        let stream = s.audit_stream(&bytes[..], &cfg).expect("stream audits");
+        let service = s.audit_service().config(cfg).build().expect("builds");
+        let stream = service
+            .submit(Sessions::tdrb(std::io::Cursor::new(bytes)), None)
+            .expect("header ok")
+            .wait()
+            .expect("stream audits");
+        service.shutdown();
         assert_eq!(stream.verdicts, batch.verdicts);
         assert_eq!(stream.summary, batch.summary);
         assert!(stream.peak_resident <= 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "BatteryMode::Full needs a trained battery")]
+    fn battery_mode_without_battery_panics() {
+        let cfg = AuditConfig {
+            workers: 1,
+            battery: BatteryMode::Full,
+            ..AuditConfig::default()
+        };
+        nfs_sanity(8, 14).audit_batch(&[], &cfg);
     }
 
     #[test]

@@ -28,9 +28,9 @@
 //! accepted containers.
 //!
 //! This crate is dependency-free by design, so the primitives the
-//! envelope needs (LEB128 varints, CRC-32/IEEE, SHA-256) are implemented
-//! here; the varint and CRC definitions match `docs/FORMATS.md` §1
-//! bit-for-bit (same algorithms as `replay::codec::wire`).
+//! envelope needs are implemented in-crate: LEB128 varints and
+//! CRC-32/IEEE in [`crate::wire`] (the one copy every format shares,
+//! `docs/FORMATS.md` §1), SHA-256 here.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -39,6 +39,7 @@ use crate::op::{ElemTy, Op};
 use crate::program::{
     Class, ClassId, Field, FieldId, Handler, Method, MethodId, NativeDecl, NativeId, Program, Ty,
 };
+use crate::wire::{crc32, put_varint, read_varint, VarintError};
 
 /// The four magic bytes opening every TDRP payload.
 pub const MAGIC: [u8; 4] = *b"TDRP";
@@ -227,50 +228,16 @@ impl fmt::Display for ContainerError {
 impl std::error::Error for ContainerError {}
 
 // ---------------------------------------------------------------------------
-// Primitives: varint, CRC-32, SHA-256
+// Primitives: SHA-256 (varints and CRC-32 come from `crate::wire`)
 // ---------------------------------------------------------------------------
 
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64, ContainerError> {
-    let mut v = 0u64;
-    for shift in (0..64).step_by(7) {
-        let b = *buf.get(*pos).ok_or(ContainerError::Truncated)?;
-        *pos += 1;
-        let part = (b & 0x7f) as u64;
-        if shift == 63 && part > 1 {
-            return Err(ContainerError::VarintOverflow);
-        }
-        v |= part << shift;
-        if b & 0x80 == 0 {
-            return Ok(v);
+impl From<VarintError> for ContainerError {
+    fn from(e: VarintError) -> Self {
+        match e {
+            VarintError::Truncated => ContainerError::Truncated,
+            VarintError::Overflow => ContainerError::VarintOverflow,
         }
     }
-    Err(ContainerError::VarintOverflow)
-}
-
-/// CRC-32/IEEE 802.3 (reflected, init and final XOR `0xFFFFFFFF`) — the
-/// same function as `docs/FORMATS.md` §1.4 and `replay::codec::wire::crc32`.
-fn crc32(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-        }
-    }
-    !crc
 }
 
 /// SHA-256 (FIPS 180-4) of `data`. Plain portable implementation; the
@@ -403,7 +370,7 @@ impl<'a> Reader<'a> {
     }
 
     fn varint(&mut self) -> Result<u64, ContainerError> {
-        read_varint(self.buf, &mut self.pos)
+        Ok(read_varint(self.buf, &mut self.pos)?)
     }
 
     /// A declared element count, bounded by the bytes remaining divided
@@ -1274,10 +1241,7 @@ mod tests {
         // An 11-byte varint (or a tenth byte > 1) must be rejected.
         let over = [0x80u8, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02];
         let mut pos = 0;
-        assert_eq!(
-            read_varint(&over, &mut pos),
-            Err(ContainerError::VarintOverflow)
-        );
+        assert_eq!(read_varint(&over, &mut pos), Err(VarintError::Overflow));
     }
 
     #[test]

@@ -39,7 +39,9 @@
 //! [`container`] defines **TDRP**, the sealed, hash-addressed container
 //! (`docs/FORMATS.md` §7) in which a program travels to an audit daemon.
 //! A program's [`ReferenceId`] is the SHA-256 digest of its canonical
-//! encoding, so registry ids are self-certifying.
+//! encoding, so registry ids are self-certifying. The LEB128 varint and
+//! CRC-32 helpers every binary format of the workspace uses live in
+//! [`wire`].
 
 #![warn(missing_docs)]
 
@@ -50,6 +52,7 @@ pub mod hll;
 pub mod op;
 pub mod program;
 pub mod verify;
+pub mod wire;
 
 pub use builder::{Label, MethodAsm, ProgramBuilder};
 pub use container::{ContainerError, ReferenceId};

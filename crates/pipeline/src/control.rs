@@ -7,7 +7,7 @@
 //! error), shut down. Frames use the same conventions as the TDRL/TDRB
 //! formats — little-endian fixed-width integers, LEB128 varints, a `u32`
 //! length prefix, and a CRC-32 trailer over everything after the magic —
-//! so one set of framing helpers (`replay::stream`, `replay::codec::wire`)
+//! so one set of framing helpers (`replay::stream`, `jbc::wire`)
 //! serves all three formats. The format is specified normatively in
 //! `docs/FORMATS.md` (§ "TDRC control frames"), with a worked example
 //! pinned byte-for-byte by `formats_md_control_frame_bytes_are_pinned`
@@ -119,7 +119,7 @@ pub enum ControlError {
     /// [`AckStatus`].
     BadAckStatus(u8),
     /// A `SubmitBatch` named a reference id the daemon's registry does
-    /// not hold. Raised by [`Client::submit_batch_for`] when the daemon
+    /// not hold. Raised by [`Client::submit`] when the daemon
     /// answers with an [`AckStatus::Unknown`] ack; the connection
     /// survives — register the reference with
     /// [`Client::put_reference`] and resubmit.
@@ -1203,21 +1203,10 @@ pub struct BatchOutcome {
     pub result: Result<BatchSummary, String>,
 }
 
-impl BatchOutcome {
-    /// The summary, panicking with the daemon's message on an in-band
-    /// error (convenience for callers that treat batch failure as fatal).
-    pub fn expect_summary(self) -> BatchSummary {
-        match self.result {
-            Ok(summary) => summary,
-            Err(msg) => panic!("daemon reported batch {} failed: {msg}", self.batch_id),
-        }
-    }
-}
-
 /// A typed TDRC client over any `Read + Write` transport.
 ///
 /// Wraps the request/response choreography of §5 of `docs/FORMATS.md`:
-/// [`submit_batch`](Self::submit_batch) writes one `SubmitBatch` frame
+/// [`submit`](Self::submit) writes one `SubmitBatch` frame
 /// and reads `Verdict*` then `Summary`/`Error`, verifying the batch-id
 /// echo and the contiguous submission-index order as it goes;
 /// [`shutdown`](Self::shutdown) performs the `Shutdown`/`ShutdownAck`
@@ -1239,38 +1228,19 @@ impl<T: Read + Write> Client<T> {
         Client { transport }
     }
 
-    /// Submit one TDRB batch and block until its terminating frame.
-    ///
-    /// Protocol-level failures (corrupt frames, a wrong batch id, frames
-    /// out of order, the daemon hanging up mid-exchange) are `Err`;
-    /// batch-content failures are in-band and land in
-    /// [`BatchOutcome::result`].
+    /// Submit one TDRB batch against the daemon's default reference and
+    /// block until its terminating frame ([`submit`](Self::submit) with
+    /// no reference and no verdict callback).
     pub fn submit_batch(
         &mut self,
         batch_id: u64,
         tdrb: Vec<u8>,
     ) -> Result<BatchOutcome, ControlError> {
-        self.submit_batch_with(batch_id, tdrb, |_, _| {})
+        self.submit(batch_id, tdrb, None, |_, _| {})
     }
 
-    /// [`submit_batch`](Self::submit_batch) against a *registered*
-    /// reference program instead of the daemon's default: the frame goes
-    /// out as SubmitBatch v2, carrying `reference`. If the registry does
-    /// not hold that id the daemon answers in-band and this returns
-    /// [`ControlError::UnknownReference`] — register it with
-    /// [`put_reference`](Self::put_reference) and resubmit; the
-    /// connection survives.
-    pub fn submit_batch_for(
-        &mut self,
-        batch_id: u64,
-        tdrb: Vec<u8>,
-        reference: ReferenceId,
-    ) -> Result<BatchOutcome, ControlError> {
-        self.submit_batch_inner(batch_id, tdrb, Some(reference), |_, _| {})
-    }
-
-    /// [`submit_batch_for`](Self::submit_batch_for) with the bounded
-    /// Unknown-reference recovery built in: on an
+    /// [`submit`](Self::submit) against a registered reference, with the
+    /// bounded Unknown-reference recovery built in: on an
     /// [`AckStatus::Unknown`] answer the client re-puts `tdrp` (the
     /// container whose content-derived id is `reference`) and resubmits
     /// **once**. Content addressing makes the re-put always safe; the cap
@@ -1287,7 +1257,7 @@ impl<T: Read + Write> Client<T> {
         reference: ReferenceId,
         tdrp: &[u8],
     ) -> Result<BatchOutcome, ControlError> {
-        match self.submit_batch_for(batch_id, tdrb.clone(), reference) {
+        match self.submit(batch_id, tdrb.clone(), Some(reference), |_, _| {}) {
             Err(ControlError::UnknownReference(id)) if id == reference => {
                 let put = self.put_reference(batch_id, tdrp.to_vec())?;
                 match put.status {
@@ -1302,7 +1272,7 @@ impl<T: Read + Write> Client<T> {
                         ))
                     }
                 }
-                match self.submit_batch_for(batch_id, tdrb, reference) {
+                match self.submit(batch_id, tdrb, Some(reference), |_, _| {}) {
                     Err(ControlError::UnknownReference(id)) if id == reference => {
                         Err(ControlError::ReferenceThrash(reference))
                     }
@@ -1313,36 +1283,35 @@ impl<T: Read + Write> Client<T> {
         }
     }
 
-    /// [`submit_batch`](Self::submit_batch), invoking `on_verdict` for
-    /// each verdict frame as it arrives (before it is collected) — the
-    /// pull-streaming hook daemon clients use for live progress.
-    pub fn submit_batch_with(
-        &mut self,
-        batch_id: u64,
-        tdrb: Vec<u8>,
-        on_verdict: impl FnMut(u64, &AuditVerdict),
-    ) -> Result<BatchOutcome, ControlError> {
-        self.submit_batch_inner(batch_id, tdrb, None, on_verdict)
-    }
-
-    fn submit_batch_inner(
+    /// Submit one TDRB batch and block until its terminating frame.
+    ///
+    /// `reference` names a program registered with
+    /// [`put_reference`](Self::put_reference): the frame then goes out as
+    /// SubmitBatch v2, and if the registry does not hold that id the
+    /// daemon answers in-band and this returns
+    /// [`ControlError::UnknownReference`] — register it and resubmit; the
+    /// connection survives. `None` audits against the daemon's default
+    /// reference (SubmitBatch v1). `on_verdict` sees each verdict frame as
+    /// it arrives, before it is collected — the hook for live progress.
+    ///
+    /// Protocol-level failures (corrupt frames, a wrong batch id, frames
+    /// out of order, the daemon hanging up mid-exchange) are `Err`;
+    /// batch-content failures are in-band and land in
+    /// [`BatchOutcome::result`].
+    pub fn submit(
         &mut self,
         batch_id: u64,
         tdrb: Vec<u8>,
         reference: Option<ReferenceId>,
         mut on_verdict: impl FnMut(u64, &AuditVerdict),
     ) -> Result<BatchOutcome, ControlError> {
-        ControlFrame::SubmitBatch {
+        let mut verdicts: Vec<AuditVerdict> = Vec::new();
+        let mut frame = self.request(&ControlFrame::SubmitBatch {
             batch_id,
             tdrb,
             reference,
-        }
-        .write_to(&mut self.transport)?;
-        self.transport.flush().map_err(ControlError::from_io)?;
-        let mut verdicts: Vec<AuditVerdict> = Vec::new();
+        })?;
         loop {
-            let frame =
-                ControlFrame::read_from(&mut self.transport)?.ok_or(ControlError::Disconnected)?;
             match frame {
                 ControlFrame::Verdict {
                     batch_id: got,
@@ -1396,12 +1365,6 @@ impl<T: Read + Write> Client<T> {
                     active,
                     limit,
                 } => {
-                    // A connection-scoped refusal can race our submission:
-                    // the daemon shed the connection at accept time and we
-                    // only now read its parting frame.
-                    if scope == BusyScope::Connections {
-                        return Err(ControlError::Busy { active, limit });
-                    }
                     if got != batch_id {
                         return Err(ControlError::UnexpectedFrame("Busy (foreign batch id)"));
                     }
@@ -1429,6 +1392,32 @@ impl<T: Read + Write> Client<T> {
                 }
                 other => return Err(ControlError::UnexpectedFrame(other.kind_name())),
             }
+            frame = self.read_frame()?;
+        }
+    }
+
+    /// Write one request frame, flush it, and read the first response
+    /// frame back.
+    fn request(&mut self, frame: &ControlFrame) -> Result<ControlFrame, ControlError> {
+        frame.write_to(&mut self.transport)?;
+        self.transport.flush().map_err(ControlError::from_io)?;
+        self.read_frame()
+    }
+
+    /// Read one response frame. EOF is [`ControlError::Disconnected`], and
+    /// a connection-scoped `Busy` is [`ControlError::Busy`]: the daemon
+    /// shed this connection at accept time, and that parting frame can
+    /// arrive in answer to any request.
+    fn read_frame(&mut self) -> Result<ControlFrame, ControlError> {
+        match ControlFrame::read_from(&mut self.transport)? {
+            None => Err(ControlError::Disconnected),
+            Some(ControlFrame::Busy {
+                scope: BusyScope::Connections,
+                active,
+                limit,
+                ..
+            }) => Err(ControlError::Busy { active, limit }),
+            Some(frame) => Ok(frame),
         }
     }
 
@@ -1444,15 +1433,13 @@ impl<T: Read + Write> Client<T> {
         put_id: u64,
         tdrp: Vec<u8>,
     ) -> Result<PutOutcome, ControlError> {
-        ControlFrame::PutReference { put_id, tdrp }.write_to(&mut self.transport)?;
-        self.transport.flush().map_err(ControlError::from_io)?;
-        match ControlFrame::read_from(&mut self.transport)? {
-            Some(ControlFrame::ReferenceAck {
+        match self.request(&ControlFrame::PutReference { put_id, tdrp })? {
+            ControlFrame::ReferenceAck {
                 put_id: got,
                 reference,
                 status,
                 resident_bytes,
-            }) => {
+            } => {
                 if got != put_id {
                     return Err(ControlError::UnexpectedFrame(
                         "ReferenceAck (foreign put id)",
@@ -1464,14 +1451,7 @@ impl<T: Read + Write> Client<T> {
                     resident_bytes,
                 })
             }
-            Some(ControlFrame::Busy {
-                scope: BusyScope::Connections,
-                active,
-                limit,
-                ..
-            }) => Err(ControlError::Busy { active, limit }),
-            Some(other) => Err(ControlError::UnexpectedFrame(other.kind_name())),
-            None => Err(ControlError::Disconnected),
+            other => Err(ControlError::UnexpectedFrame(other.kind_name())),
         }
     }
 
@@ -1489,27 +1469,18 @@ impl<T: Read + Write> Client<T> {
         put_id: u64,
         json: String,
     ) -> Result<BatteryOutcome, ControlError> {
-        ControlFrame::PutBattery { put_id, json }.write_to(&mut self.transport)?;
-        self.transport.flush().map_err(ControlError::from_io)?;
-        match ControlFrame::read_from(&mut self.transport)? {
-            Some(ControlFrame::BatteryAck {
+        match self.request(&ControlFrame::PutBattery { put_id, json })? {
+            ControlFrame::BatteryAck {
                 put_id: got,
                 generation,
                 status,
-            }) => {
+            } => {
                 if got != put_id {
                     return Err(ControlError::UnexpectedFrame("BatteryAck (foreign put id)"));
                 }
                 Ok(BatteryOutcome { generation, status })
             }
-            Some(ControlFrame::Busy {
-                scope: BusyScope::Connections,
-                active,
-                limit,
-                ..
-            }) => Err(ControlError::Busy { active, limit }),
-            Some(other) => Err(ControlError::UnexpectedFrame(other.kind_name())),
-            None => Err(ControlError::Disconnected),
+            other => Err(ControlError::UnexpectedFrame(other.kind_name())),
         }
     }
 
@@ -1518,18 +1489,9 @@ impl<T: Read + Write> Client<T> {
     /// on the same connection; the snapshot covers the whole *service*
     /// (every connection's traffic), not just this client's.
     pub fn stats(&mut self) -> Result<MetricsSnapshot, ControlError> {
-        ControlFrame::StatsRequest.write_to(&mut self.transport)?;
-        self.transport.flush().map_err(ControlError::from_io)?;
-        match ControlFrame::read_from(&mut self.transport)? {
-            Some(ControlFrame::Stats { snapshot }) => Ok(snapshot),
-            Some(ControlFrame::Busy {
-                scope: BusyScope::Connections,
-                active,
-                limit,
-                ..
-            }) => Err(ControlError::Busy { active, limit }),
-            Some(other) => Err(ControlError::UnexpectedFrame(other.kind_name())),
-            None => Err(ControlError::Disconnected),
+        match self.request(&ControlFrame::StatsRequest)? {
+            ControlFrame::Stats { snapshot } => Ok(snapshot),
+            other => Err(ControlError::UnexpectedFrame(other.kind_name())),
         }
     }
 
@@ -1537,18 +1499,9 @@ impl<T: Read + Write> Client<T> {
     /// client (over TCP this ends the *connection*; the daemon keeps
     /// serving other connections — `docs/FORMATS.md` §5.4).
     pub fn shutdown(mut self) -> Result<T, ControlError> {
-        ControlFrame::Shutdown.write_to(&mut self.transport)?;
-        self.transport.flush().map_err(ControlError::from_io)?;
-        match ControlFrame::read_from(&mut self.transport)? {
-            Some(ControlFrame::ShutdownAck) => Ok(self.transport),
-            Some(ControlFrame::Busy {
-                scope: BusyScope::Connections,
-                active,
-                limit,
-                ..
-            }) => Err(ControlError::Busy { active, limit }),
-            Some(other) => Err(ControlError::UnexpectedFrame(other.kind_name())),
-            None => Err(ControlError::Disconnected),
+        match self.request(&ControlFrame::Shutdown)? {
+            ControlFrame::ShutdownAck => Ok(self.transport),
+            other => Err(ControlError::UnexpectedFrame(other.kind_name())),
         }
     }
 
@@ -2444,7 +2397,7 @@ mod tests {
         ]));
         let mut seen = Vec::new();
         let outcome = client
-            .submit_batch_with(5, vec![1, 2, 3], |i, _| seen.push(i))
+            .submit(5, vec![1, 2, 3], None, |i, _| seen.push(i))
             .expect("protocol clean");
         assert_eq!(seen, vec![0, 1]);
         assert_eq!(outcome.verdicts, vec![verdict.clone(), verdict]);
@@ -2713,7 +2666,7 @@ mod tests {
             resident_bytes: 0,
         }]));
         assert_eq!(
-            client.submit_batch_for(11, vec![1, 2], id),
+            client.submit(11, vec![1, 2], Some(id), |_, _| {}),
             Err(ControlError::UnknownReference(id))
         );
         let sent = client.into_inner().sent;
@@ -2735,7 +2688,7 @@ mod tests {
             resident_bytes: 0,
         }]));
         assert_eq!(
-            client.submit_batch_for(11, Vec::new(), id),
+            client.submit(11, Vec::new(), Some(id), |_, _| {}),
             Err(ControlError::UnexpectedFrame(
                 "ReferenceAck (foreign batch id)"
             ))

@@ -51,10 +51,8 @@
 
 use std::collections::BTreeMap;
 use std::io::{self, BufWriter, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::Arc;
 
 use jbc::ReferenceId;
 
@@ -62,7 +60,8 @@ use crate::control::{
     AckStatus, BatchOutcome, BatteryOutcome, Client, ControlError, ControlFrame, PutOutcome,
 };
 use crate::ingest;
-use crate::obs::{Counter, Gauge, MetricsRegistry, MetricsSnapshot};
+use crate::net::{ConnHandler, Listener};
+use crate::obs::{Counter, MetricsRegistry, MetricsSnapshot};
 use crate::verdict::{AuditVerdict, FleetSummary};
 use crate::AuditJob;
 
@@ -74,14 +73,11 @@ struct BackendCounters {
     failures: Arc<Counter>,
 }
 
-/// The coordinator's own metric set. Connection-lifecycle names match
-/// the daemon's (`conn_*`) so fleet tooling reads both alike; routing
-/// and retry tallies are `coord_*`.
+/// The coordinator's own metric set. Connection-lifecycle metrics
+/// (`conn_*`, kept by the shared listener harness) match the daemon's
+/// names so fleet tooling reads both alike; routing and retry tallies
+/// are `coord_*`.
 struct CoordMetrics {
-    conn_accepted: Arc<Counter>,
-    conn_active: Arc<Gauge>,
-    conn_errors: Arc<Counter>,
-    conn_reaped: Arc<Counter>,
     frames_in: Arc<Counter>,
     frames_out: Arc<Counter>,
     batches_routed: Arc<Counter>,
@@ -97,10 +93,6 @@ struct CoordMetrics {
 impl CoordMetrics {
     fn new(registry: &MetricsRegistry, n_backends: usize) -> Self {
         CoordMetrics {
-            conn_accepted: registry.counter("conn_accepted"),
-            conn_active: registry.gauge("conn_active"),
-            conn_errors: registry.counter("conn_errors"),
-            conn_reaped: registry.counter("conn_reaped"),
             frames_in: registry.counter("frames_in"),
             frames_out: registry.counter("frames_out"),
             batches_routed: registry.counter("coord_batches_routed"),
@@ -121,13 +113,12 @@ impl CoordMetrics {
     }
 }
 
-/// Accept/connection bookkeeping plus everything a connection thread
-/// needs: the backend address list and the metric set.
+/// Everything a router thread needs: the backend address list and the
+/// metric set.
 struct CoordShared {
     backends: Vec<String>,
     registry: MetricsRegistry,
     metrics: CoordMetrics,
-    conns: Mutex<Vec<JoinHandle<()>>>,
 }
 
 /// A running TDRC coordinator: an accept loop plus one router thread per
@@ -138,10 +129,8 @@ struct CoordShared {
 /// returning the report).
 #[derive(Debug)]
 pub struct Coordinator {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    listener: Listener,
     shared: Arc<CoordShared>,
-    accept_thread: Option<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for CoordShared {
@@ -179,35 +168,26 @@ pub fn serve_coordinator(listener: TcpListener, backends: Vec<String>) -> io::Re
             "a coordinator needs at least one backend address",
         ));
     }
-    let addr = listener.local_addr()?;
     let registry = MetricsRegistry::new();
     let metrics = CoordMetrics::new(&registry, backends.len());
     let shared = Arc::new(CoordShared {
         backends,
         registry,
         metrics,
-        conns: Mutex::new(Vec::new()),
     });
-    let stop = Arc::new(AtomicBool::new(false));
-    let accept_thread = {
-        let shared = Arc::clone(&shared);
-        let stop = Arc::clone(&stop);
-        std::thread::Builder::new()
-            .name("tdrd-coord-accept".to_string())
-            .spawn(move || accept_loop(listener, shared, stop))?
-    };
-    Ok(Coordinator {
-        addr,
-        stop,
-        shared,
-        accept_thread: Some(accept_thread),
-    })
+    let listener = Listener::spawn(
+        listener,
+        "tdrd-coord",
+        &shared.registry,
+        Arc::clone(&shared),
+    )?;
+    Ok(Coordinator { listener, shared })
 }
 
 impl Coordinator {
     /// The address the coordinator is accepting on (resolves `:0` binds).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.local_addr()
     }
 
     /// The backend addresses this coordinator routes across, in shard
@@ -226,7 +206,7 @@ impl Coordinator {
     /// client connection to end, and return the final tallies. Backend
     /// connections close with their client connections.
     pub fn shutdown(mut self) -> CoordReport {
-        self.shutdown_inner();
+        self.listener.shutdown();
         let snapshot = self.shared.registry.snapshot();
         CoordReport {
             connections_accepted: snapshot.counter("conn_accepted"),
@@ -234,102 +214,12 @@ impl Coordinator {
             snapshot,
         }
     }
-
-    fn shutdown_inner(&mut self) {
-        let Some(accept) = self.accept_thread.take() else {
-            return;
-        };
-        self.stop.store(true, Ordering::SeqCst);
-        // `accept()` has no timeout; wake it with a throwaway connection
-        // (same discipline as `net::TcpDaemon`).
-        let wake_addr = if self.addr.ip().is_unspecified() {
-            let loopback: std::net::IpAddr = if self.addr.is_ipv4() {
-                std::net::Ipv4Addr::LOCALHOST.into()
-            } else {
-                std::net::Ipv6Addr::LOCALHOST.into()
-            };
-            SocketAddr::new(loopback, self.addr.port())
-        } else {
-            self.addr
-        };
-        let _ = TcpStream::connect(wake_addr);
-        let _ = accept.join();
-        let conns = std::mem::take(&mut *self.shared.conns.lock().expect("conns lock"));
-        for handle in conns {
-            let _ = handle.join();
-            self.shared.metrics.conn_reaped.inc();
-        }
-    }
 }
 
-impl Drop for Coordinator {
-    fn drop(&mut self) {
-        self.shutdown_inner();
+impl ConnHandler for CoordShared {
+    fn serve(&self, stream: &TcpStream, _conn_id: u64) -> Result<(), ControlError> {
+        route_connection(self, stream)
     }
-}
-
-fn accept_loop(listener: TcpListener, shared: Arc<CoordShared>, stop: Arc<AtomicBool>) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _peer)) => stream,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                if stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(20));
-                continue;
-            }
-        };
-        if stop.load(Ordering::SeqCst) {
-            drop(stream);
-            return;
-        }
-        let conn_id = shared.metrics.conn_accepted.inc();
-        shared.metrics.conn_active.inc();
-        reap_finished(&shared);
-        let handle = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name(format!("tdrd-coord-conn-{conn_id}"))
-                .spawn(move || serve_connection(&shared, stream))
-        };
-        match handle {
-            Ok(handle) => shared.conns.lock().expect("conns lock").push(handle),
-            Err(_) => {
-                shared.metrics.conn_active.dec();
-                shared.metrics.conn_errors.inc();
-            }
-        }
-    }
-}
-
-/// Join router threads that already finished (same bounded-backlog
-/// discipline as `net::reap_finished`: called on accept and as each
-/// connection exits, remainder at shutdown, every join counted).
-fn reap_finished(shared: &CoordShared) {
-    let mut conns = shared.conns.lock().expect("conns lock");
-    let mut live = Vec::with_capacity(conns.len());
-    for handle in conns.drain(..) {
-        if handle.is_finished() {
-            let _ = handle.join();
-            shared.metrics.conn_reaped.inc();
-        } else {
-            live.push(handle);
-        }
-    }
-    *conns = live;
-}
-
-fn serve_connection(shared: &CoordShared, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let outcome = route_connection(shared, &stream);
-    if outcome.is_err() {
-        shared.metrics.conn_errors.inc();
-    }
-    shared.metrics.conn_active.dec();
-    let _ = stream.shutdown(Shutdown::Both);
-    reap_finished(shared);
 }
 
 /// One shard's routing state: the original submission indexes and jobs
@@ -407,7 +297,7 @@ fn submit_shard(
         None => client.submit_batch(batch_id, tdrb),
         Some(id) => match containers.get(&id) {
             Some(tdrp) => client.submit_batch_reput(batch_id, tdrb, id, tdrp),
-            None => client.submit_batch_for(batch_id, tdrb, id),
+            None => client.submit(batch_id, tdrb, Some(id), |_, _| {}),
         },
     }
 }

@@ -116,8 +116,9 @@ pub fn encode_batch(jobs: &[AuditJob]) -> Vec<u8> {
 ///
 /// This is [`BatchStream`] run to completion — kept for small batches and
 /// for tests that want the whole fleet in hand. Anything fleet-sized
-/// should consume the stream directly (see [`crate::audit_stream`]), which
-/// holds at most a bounded number of sessions resident.
+/// should be streamed instead ([`crate::Sessions::Tdrb`] through
+/// [`crate::AuditService::submit`]), which holds at most a bounded number
+/// of sessions resident.
 pub fn decode_batch(bytes: &[u8]) -> Result<Vec<AuditJob>, IngestError> {
     BatchStream::new(bytes)?.collect()
 }
@@ -169,8 +170,8 @@ impl<R: Read> BatchStream<R> {
     ///
     /// Session *headers* (ids and IPD deltas) decode varint-by-varint, so
     /// for unbuffered sources (a raw `File` or socket) wrap `src` in a
-    /// [`std::io::BufReader`] first — [`crate::audit_stream`]'s callers
-    /// get this via `Sanity::audit_stream`, which buffers internally.
+    /// [`std::io::BufReader`] first — [`crate::AuditService::submit`]
+    /// buffers a [`crate::Sessions::Tdrb`] reader internally.
     pub fn new(mut src: R) -> Result<Self, IngestError> {
         let mut header = [0u8; 8];
         let got = match read_full(&mut src, &mut header) {

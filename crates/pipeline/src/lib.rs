@@ -12,13 +12,18 @@
 //!   pull-based: [`BatchStream`] decodes sessions one at a time from any
 //!   `io::Read` source, so a batch far larger than RAM streams through in
 //!   bounded memory;
-//! * [`pool`] — a sharded worker pool (std threads + channels, no external
-//!   dependencies) that fans the sessions of a batch out across cores;
-//!   every worker audits sessions against a [`ReferenceCache`] holding the
-//!   known-good binary and file set, so per-session setup cost is one
-//!   clone, not one rebuild. [`audit_stream`] couples the pool to a
-//!   session stream through a bounded channel with backpressure
-//!   ([`AuditConfig::high_water`] caps the resident set);
+//! * [`service`] — the persistent [`AuditService`]: a warm worker pool
+//!   (std threads, no external dependencies) that fans the sessions of a
+//!   batch out across cores. Every worker audits sessions against a
+//!   [`ReferenceCache`] holding the known-good binary and file set, so
+//!   per-session setup cost is one clone, not one rebuild.
+//!   [`AuditService::submit`] is the one submission primitive: decoded
+//!   jobs or a TDRB stream, consumed under backpressure
+//!   ([`AuditConfig::high_water`] caps the resident set), against the
+//!   built-in or a registered reference;
+//! * [`control`], [`net`], [`coord`] — the TDRC control plane, the TCP
+//!   daemon ([`serve_tcp_with`]) and the sharding coordinator
+//!   ([`serve_coordinator`]), which share one listener harness;
 //! * [`verdict`] — per-session [`AuditVerdict`]s and their deterministic
 //!   aggregation into a [`FleetSummary`] (flagged sessions, score
 //!   histogram, per-detector stats) plus labeled ROC/AUC — per detector —
@@ -49,7 +54,6 @@ pub mod coord;
 pub mod ingest;
 pub mod net;
 pub mod obs;
-pub mod pool;
 pub mod registry;
 pub mod service;
 pub mod verdict;
@@ -70,11 +74,12 @@ pub use coord::{serve_coordinator, CoordReport, Coordinator};
 pub use detectors::DetectorBattery;
 pub use ingest::{BatchStream, IngestError};
 pub use jbc::ReferenceId;
-pub use net::{serve_tcp, serve_tcp_with, DaemonOptions, DaemonReport, TcpDaemon};
+pub use net::{serve_tcp_with, DaemonOptions, DaemonReport, TcpDaemon};
 pub use obs::{MetricsSnapshot, TraceEvent, TraceKind};
-pub use pool::{audit_batch, audit_batch_streaming, audit_stream, BatchReport, StreamReport};
 pub use registry::{ReferenceRegistry, RegistryError, RegistryLoad, DEFAULT_REFERENCE_BUDGET};
-pub use service::{AuditService, BatchTicket, ServiceBuilder, TenantQuota};
+pub use service::{
+    AuditService, BatchReport, BatchTicket, ServiceBuilder, Sessions, SubmitError, TenantQuota,
+};
 pub use verdict::{AuditVerdict, DetectorStats, FleetSummary, ScoreHistogram};
 
 /// The reference environment sessions are audited against: the known-good
@@ -170,7 +175,8 @@ pub enum BatteryMode {
 /// Batch-audit tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct AuditConfig {
-    /// Worker threads; `0` means one per available core.
+    /// Worker threads; `0` means one per available core (resolved by
+    /// [`AuditConfig::resolved_workers`]; a service rejects `0`).
     pub workers: usize,
     /// TDR detector threshold: flag sessions whose worst relative IPD
     /// deviation exceeds this. The paper's noise floor is 1.85% (§6.4), so
@@ -181,10 +187,10 @@ pub struct AuditConfig {
     /// so verdicts are independent of sharding.
     pub run_seed: u64,
     /// Streaming ingest memory bound: the maximum number of sessions
-    /// resident at once (decoded but not yet audited) in
-    /// [`audit_stream`]. Decode of the next session blocks until the
-    /// resident set drops below this mark. `0` means the default of 8.
-    /// Has no effect on the materialized [`audit_batch`] path.
+    /// resident at once (decoded but not yet audited) while a
+    /// [`Sessions::Tdrb`] submission streams in. Decode of the next
+    /// session blocks until the resident set drops below this mark. Must
+    /// be positive. Has no effect on [`Sessions::Jobs`] submissions.
     pub high_water: usize,
     /// Which detectors score each session (default: TDR only).
     pub battery: BatteryMode,
@@ -207,19 +213,13 @@ impl Default for AuditConfig {
 }
 
 /// A structurally invalid [`AuditConfig`], rejected at service
-/// construction.
-///
-/// The one-shot entry points historically resolved `0` values through
-/// [`AuditConfig::resolved_workers`]/[`AuditConfig::resolved_high_water`]
-/// deep inside the pool; the service API resolves once at the front door
-/// instead and rejects configurations that would otherwise silently fall
-/// back ([`service::ServiceBuilder::build`] calls
-/// [`AuditConfig::validate`]).
+/// construction ([`service::ServiceBuilder::build`] calls
+/// [`AuditConfig::validate`]) instead of silently falling back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigError {
-    /// `workers == 0` reached service construction. The one-shot shims
-    /// resolve `0` to the core count before building; a service must be
-    /// given an explicit positive worker count.
+    /// `workers == 0` reached service construction. A service must be
+    /// given an explicit positive worker count
+    /// ([`AuditConfig::resolved_workers`] resolves `0` to the core count).
     ZeroWorkers,
     /// `high_water == 0` reached service construction: a zero residency
     /// bound would deadlock the streaming feeder.
@@ -243,8 +243,8 @@ impl std::error::Error for ConfigError {}
 
 impl AuditConfig {
     /// Check this configuration is structurally valid for service
-    /// construction: every knob explicit, nothing left to the `resolved_*`
-    /// fallbacks. Battery availability is checked separately by the
+    /// construction: every knob explicit, no `0` left to a fallback.
+    /// Battery availability is checked separately by the
     /// builder (it lives on the [`Reference`], not here).
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.workers == 0 {
@@ -276,15 +276,6 @@ impl AuditConfig {
             std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1)
-        }
-    }
-
-    /// The streaming high-water mark after resolving `0` to the default.
-    pub fn resolved_high_water(&self) -> usize {
-        if self.high_water > 0 {
-            self.high_water
-        } else {
-            DEFAULT_HIGH_WATER
         }
     }
 }

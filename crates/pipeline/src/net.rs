@@ -1,13 +1,18 @@
 //! TCP front end for the audit daemon: many connections, one warm pool.
 //!
 //! [`AuditService::serve`] speaks the TDRC control plane over any
-//! `Read + Write` pair but handles exactly one peer. [`serve_tcp`] makes
-//! the service deployable: it takes a bound [`TcpListener`], accepts
-//! connections on a dedicated thread, and runs one `serve` loop per
-//! connection on its own thread — every connection multiplexes its
+//! `Read + Write` pair but handles exactly one peer. [`serve_tcp_with`]
+//! makes the service deployable: it takes a bound [`TcpListener`],
+//! accepts connections on a dedicated thread, and runs one `serve` loop
+//! per connection on its own thread — every connection multiplexes its
 //! submissions onto the **same** warm worker pool and sees the same
 //! battery generation, which is the whole point of a fleet daemon (one
 //! spin-up, many log sources).
+//!
+//! The accept loop, the connection-thread ledger and reaper, and the
+//! wake-connection shutdown live in one listener harness, generic over a
+//! per-connection handler. The daemon and the coordinator
+//! ([`crate::coord`]) both run on it.
 //!
 //! ## Connection lifecycle (normative rules in `docs/FORMATS.md` §5.4)
 //!
@@ -50,33 +55,246 @@
 //! daemon serving, with verdict bytes identical to the in-memory duplex
 //! path and to in-process submission.
 
-use std::io::{self, BufWriter, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufWriter};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::control::{BusyScope, ControlError, ControlFrame};
-use crate::obs::{CountingRead, CountingWrite, MetricsSnapshot, ServiceMetrics, TraceKind};
-use crate::service::{AuditService, TenantQuota};
+use crate::obs::{
+    Counter, CountingRead, CountingWrite, Gauge, MetricsRegistry, MetricsSnapshot, ServiceMetrics,
+    TraceKind,
+};
+use crate::service::{send, AuditService, TenantQuota};
 
-/// Shared accept/connection bookkeeping. Connection tallies live in the
-/// service's metric set ([`crate::obs::ServiceMetrics`]), not here — one
-/// source of truth for the live accessors, [`DaemonReport`], and the TDRC
-/// `Stats` frame.
-#[derive(Debug, Default)]
-struct DaemonState {
-    /// Connection threads still owed a join. Finished ones are reaped on
-    /// each accept **and** as each connection exits (so an idle daemon
-    /// that stops receiving connects does not hold every handle it ever
-    /// served until the next accept — at most the last connection to
-    /// finish stays unreaped, since a thread cannot join itself); the
-    /// remainder joins at shutdown. Every join increments `conn_reaped`,
-    /// so after a drain the ledger balances: `conn_reaped` equals the
-    /// connection threads ever spawned.
-    conns: Mutex<Vec<JoinHandle<()>>>,
+// ---------------------------------------------------------------------------
+// The listener harness
+// ---------------------------------------------------------------------------
+
+/// What a TCP front end does with its connections; the [`Listener`] does
+/// the rest (accept, count, spawn, reap, shut down).
+pub(crate) trait ConnHandler: Send + Sync + 'static {
+    /// Decide, on the accept thread, whether to admit `stream`. `false`
+    /// sheds it: the handler has already answered and counted it, and the
+    /// listener closes it without a connection thread. Admits everything
+    /// by default.
+    fn admit(&self, _stream: &TcpStream) -> bool {
+        true
+    }
+
+    /// Record a lifecycle event of connection `conn_id` (default: none).
+    fn trace(&self, _kind: TraceKind, _conn_id: u64) {}
+
+    /// Serve one admitted connection on its own thread until it ends.
+    /// `Err` is counted by `conn_errors`; it never stops the listener.
+    fn serve(&self, stream: &TcpStream, conn_id: u64) -> Result<(), ControlError>;
 }
+
+/// Connection threads still owed a join. Finished ones are reaped on each
+/// accept **and** as each connection exits (so an idle listener that
+/// stops receiving connects does not hold every handle it ever served
+/// until the next accept — at most the last connection to finish stays
+/// unreaped, since a thread cannot join itself); the remainder joins at
+/// shutdown. Every join increments `conn_reaped`, so after a drain the
+/// ledger balances: `conn_reaped` equals the connection threads ever
+/// spawned.
+///
+/// The ledger also holds the connection-lifecycle metrics, under the
+/// `conn_*` names both front ends export.
+#[derive(Debug)]
+struct Ledger {
+    conns: Mutex<Vec<JoinHandle<()>>>,
+    accepted: Arc<Counter>,
+    active: Arc<Gauge>,
+    errors: Arc<Counter>,
+    reaped: Arc<Counter>,
+}
+
+impl Ledger {
+    /// Join connection threads that already finished.
+    fn reap_finished(&self) {
+        let mut conns = self.conns.lock().expect("conns lock");
+        let mut live = Vec::with_capacity(conns.len());
+        for handle in conns.drain(..) {
+            if handle.is_finished() {
+                let _ = handle.join();
+                self.reaped.inc();
+            } else {
+                live.push(handle);
+            }
+        }
+        *conns = live;
+    }
+}
+
+/// A running accept loop plus one thread per admitted connection.
+/// Dropping it performs the same graceful shutdown as
+/// [`shutdown`](Self::shutdown).
+#[derive(Debug)]
+pub(crate) struct Listener {
+    addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+    ledger: Arc<Ledger>,
+    accept_thread: Option<JoinHandle<()>>,
+}
+
+impl Listener {
+    /// Start accepting on `listener`, handing each admitted connection to
+    /// `handler` on a thread named `{name}-conn-{id}`, and counting
+    /// connections in `registry`.
+    pub(crate) fn spawn<H: ConnHandler>(
+        listener: TcpListener,
+        name: &str,
+        registry: &MetricsRegistry,
+        handler: Arc<H>,
+    ) -> io::Result<Self> {
+        let addr = listener.local_addr()?;
+        let stop = Arc::new(AtomicBool::new(false));
+        let ledger = Arc::new(Ledger {
+            conns: Mutex::new(Vec::new()),
+            accepted: registry.counter("conn_accepted"),
+            active: registry.gauge("conn_active"),
+            errors: registry.counter("conn_errors"),
+            reaped: registry.counter("conn_reaped"),
+        });
+        let accept_thread = {
+            let stop = Arc::clone(&stop);
+            let ledger = Arc::clone(&ledger);
+            let name = name.to_string();
+            std::thread::Builder::new()
+                .name(format!("{name}-accept"))
+                .spawn(move || accept_loop(listener, handler, stop, ledger, name))?
+        };
+        Ok(Listener {
+            addr,
+            stop,
+            ledger,
+            accept_thread: Some(accept_thread),
+        })
+    }
+
+    /// The address being accepted on (resolves `:0` binds).
+    pub(crate) fn local_addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Graceful shutdown: stop accepting, then wait for every connection
+    /// thread to finish. Idempotent.
+    pub(crate) fn shutdown(&mut self) {
+        let Some(accept) = self.accept_thread.take() else {
+            return;
+        };
+        self.stop.store(true, Ordering::SeqCst);
+        // `accept()` has no timeout; wake it with a throwaway connection.
+        // A wildcard bind (0.0.0.0 / ::) is not connectable everywhere,
+        // so target loopback on the bound port in that case. If
+        // connecting fails (listener already dead), the accept loop has
+        // already returned or will error out and observe `stop`.
+        let wake_addr = if self.addr.ip().is_unspecified() {
+            let loopback: std::net::IpAddr = if self.addr.is_ipv4() {
+                Ipv4Addr::LOCALHOST.into()
+            } else {
+                Ipv6Addr::LOCALHOST.into()
+            };
+            SocketAddr::new(loopback, self.addr.port())
+        } else {
+            self.addr
+        };
+        let _ = TcpStream::connect(wake_addr);
+        let _ = accept.join();
+        let conns = std::mem::take(&mut *self.ledger.conns.lock().expect("conns lock"));
+        for handle in conns {
+            let _ = handle.join();
+            self.ledger.reaped.inc();
+        }
+    }
+}
+
+impl Drop for Listener {
+    fn drop(&mut self) {
+        self.shutdown();
+    }
+}
+
+fn accept_loop<H: ConnHandler>(
+    listener: TcpListener,
+    handler: Arc<H>,
+    stop: Arc<AtomicBool>,
+    ledger: Arc<Ledger>,
+    name: String,
+) {
+    loop {
+        let stream = match listener.accept() {
+            Ok((stream, _peer)) => stream,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(_) => {
+                // Transient accept failure (e.g. fd exhaustion): the
+                // listener must outlive it. Back off briefly and retry.
+                if stop.load(Ordering::SeqCst) {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(20));
+                continue;
+            }
+        };
+        if stop.load(Ordering::SeqCst) {
+            // The wake-up connection from `shutdown` (or a client racing
+            // it). Either way the listener is closing: drop it unanswered.
+            return;
+        }
+        if !handler.admit(&stream) {
+            continue;
+        }
+        // The accept counter doubles as the 1-based connection id keying
+        // this connection's trace events and thread name.
+        let conn_id = ledger.accepted.inc();
+        handler.trace(TraceKind::ConnAccept, conn_id);
+        ledger.active.inc();
+        ledger.reap_finished();
+        let spawned = {
+            let handler = Arc::clone(&handler);
+            let ledger = Arc::clone(&ledger);
+            std::thread::Builder::new()
+                .name(format!("{name}-conn-{conn_id}"))
+                .spawn(move || serve_connection(&*handler, &ledger, stream, conn_id))
+        };
+        match spawned {
+            Ok(handle) => ledger.conns.lock().expect("conns lock").push(handle),
+            Err(_) => {
+                // Could not spawn a thread: count it as a connection error
+                // and keep accepting — refusing one client is
+                // recoverable, dying is not.
+                ledger.active.dec();
+                ledger.errors.inc();
+                handler.trace(TraceKind::ConnError, conn_id);
+            }
+        }
+    }
+}
+
+/// One connection's lifetime: serve it, count the outcome, close it.
+fn serve_connection<H: ConnHandler>(handler: &H, ledger: &Ledger, stream: TcpStream, conn_id: u64) {
+    // Verdict frames are small and latency matters for the submit→verdict
+    // stream; disable Nagle and buffer writes per frame instead.
+    let _ = stream.set_nodelay(true);
+    if handler.serve(&stream, conn_id).is_err() {
+        ledger.errors.inc();
+    }
+    ledger.active.dec();
+    let _ = stream.shutdown(Shutdown::Both);
+    // Reap on the way out, not only on the next accept: an idle listener
+    // (or a coordinator backend between batches) may never see another
+    // connect, and without this every handle it ever served would sit
+    // unjoined until shutdown. This thread's own handle reports
+    // unfinished to `is_finished` and is left for the next reaper.
+    ledger.reap_finished();
+}
+
+// ---------------------------------------------------------------------------
+// The audit daemon
+// ---------------------------------------------------------------------------
 
 /// Front-end policy knobs for [`serve_tcp_with`].
 #[derive(Debug, Clone, Default)]
@@ -85,8 +303,8 @@ pub struct DaemonOptions {
     /// long mid-stream has its connection closed with a typed
     /// [`ControlError::IdleTimeout`] (counted by `conn_idle_timeout`),
     /// freeing the connection thread — the slow-loris defense. `None`
-    /// (the default, and [`serve_tcp`]'s behavior) keeps the historical
-    /// semantics: a connection may idle forever.
+    /// (the default) keeps the historical semantics: a connection may
+    /// idle forever.
     pub idle_timeout: Option<Duration>,
     /// Connection cap. While this many connections are active, further
     /// arrivals are shed with one connection-scoped
@@ -108,7 +326,7 @@ pub struct DaemonOptions {
 #[derive(Debug)]
 pub struct DaemonReport {
     /// The service the daemon was serving, still warm — reusable
-    /// directly or via another [`serve_tcp`] call.
+    /// directly or via another [`serve_tcp_with`] call.
     pub service: AuditService,
     /// Connections accepted over the daemon's lifetime (the
     /// `conn_accepted` counter).
@@ -129,121 +347,93 @@ pub struct DaemonReport {
 /// A running TCP audit daemon: an accept loop plus one serve thread per
 /// connection, all sharing one warm [`AuditService`].
 ///
-/// Built by [`serve_tcp`]. Dropping the daemon performs the same graceful
-/// shutdown as [`shutdown`](Self::shutdown) (minus returning the
+/// Built by [`serve_tcp_with`]. Dropping the daemon performs the same
+/// graceful shutdown as [`shutdown`](Self::shutdown) (minus returning the
 /// service).
 #[derive(Debug)]
 pub struct TcpDaemon {
+    // Declared first so it drops (joining every thread) before the
+    // daemon's own service handle.
+    listener: Listener,
     service: Arc<AuditService>,
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    state: Arc<DaemonState>,
-    accept_thread: Option<JoinHandle<()>>,
 }
 
-/// [`serve_tcp`] with explicit [`DaemonOptions`] (idle timeout etc.).
-pub fn serve_tcp_with(
-    service: AuditService,
-    listener: TcpListener,
+/// The daemon's per-connection handler.
+struct DaemonConns {
+    service: Arc<AuditService>,
     options: DaemonOptions,
-) -> io::Result<TcpDaemon> {
-    let addr = listener.local_addr()?;
-    let service = Arc::new(service);
-    let stop = Arc::new(AtomicBool::new(false));
-    let state = Arc::new(DaemonState::default());
-    let accept_thread = {
-        let service = Arc::clone(&service);
-        let stop = Arc::clone(&stop);
-        let state = Arc::clone(&state);
-        std::thread::Builder::new()
-            .name("tdrd-accept".to_string())
-            .spawn(move || accept_loop(listener, service, stop, state, options))?
-    };
-    Ok(TcpDaemon {
-        service,
-        addr,
-        stop,
-        state,
-        accept_thread: Some(accept_thread),
-    })
+}
+
+impl ConnHandler for DaemonConns {
+    fn admit(&self, stream: &TcpStream) -> bool {
+        let Some(cap) = self.options.max_conns else {
+            return true;
+        };
+        let metrics = self.service.metrics();
+        let active = metrics.conn_active.get();
+        if (active as usize) < cap {
+            return true;
+        }
+        shed_connection(stream, metrics, active, cap as u64);
+        false
+    }
+
+    fn trace(&self, kind: TraceKind, conn_id: u64) {
+        self.service.metrics().trace(kind, conn_id, 0);
+    }
+
+    fn serve(&self, stream: &TcpStream, conn_id: u64) -> Result<(), ControlError> {
+        let metrics = self.service.metrics();
+        if let Some(deadline) = self.options.idle_timeout {
+            // A read past the deadline fails with WouldBlock/TimedOut,
+            // which the serve loop classifies as `ControlError::IdleTimeout`.
+            let _ = stream.set_read_timeout(Some(deadline));
+        }
+        let reader = CountingRead::new(stream, Arc::clone(&metrics.bytes_in));
+        let writer = CountingWrite::new(BufWriter::new(stream), Arc::clone(&metrics.bytes_out));
+        // The connection id is the tenant id: submissions from this peer
+        // are round-robin scheduled against other connections' work and
+        // metered under `tenant_{conn_id}_*`.
+        let outcome =
+            self.service
+                .serve_as_tenant(reader, writer, conn_id, self.options.tenant_quota);
+        match &outcome {
+            Ok(()) => self.trace(TraceKind::ConnClose, conn_id),
+            Err(ControlError::IdleTimeout) => {
+                metrics.conn_idle_timeout.inc();
+                self.trace(TraceKind::ConnIdleTimeout, conn_id);
+            }
+            Err(_) => self.trace(TraceKind::ConnError, conn_id),
+        }
+        outcome
+    }
 }
 
 /// Serve the TDRC control plane over TCP: accept connections on
 /// `listener` (typically bound to an explicit port, or `127.0.0.1:0` for
 /// an ephemeral one — read it back via [`TcpDaemon::local_addr`]) and run
-/// one [`AuditService::serve`] loop per connection, connection-per-thread.
+/// one [`AuditService::serve_as_tenant`] loop per connection,
+/// connection-per-thread, under the front-end policy in `options`
+/// ([`DaemonOptions::default`] imposes none).
 ///
 /// The returned handle owns the service; [`TcpDaemon::shutdown`] stops
 /// accepting, drains in-flight connections, and returns the service still
 /// warm. Per-connection failures — protocol garbage, a client vanishing
 /// mid-frame, a broken pipe while writing verdicts — end that connection
 /// only (see [`TcpDaemon::connection_errors`]).
-pub fn serve_tcp(service: AuditService, listener: TcpListener) -> io::Result<TcpDaemon> {
-    serve_tcp_with(service, listener, DaemonOptions::default())
-}
-
-fn accept_loop(
+pub fn serve_tcp_with(
+    service: AuditService,
     listener: TcpListener,
-    service: Arc<AuditService>,
-    stop: Arc<AtomicBool>,
-    state: Arc<DaemonState>,
     options: DaemonOptions,
-) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _peer)) => stream,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                // Transient accept failure (e.g. fd exhaustion): the
-                // daemon must outlive it. Back off briefly and retry.
-                if stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(20));
-                continue;
-            }
-        };
-        if stop.load(Ordering::SeqCst) {
-            // The wake-up connection from `shutdown` (or a client racing
-            // it). Either way the daemon is closing: drop it unanswered.
-            drop(stream);
-            return;
-        }
-        let metrics = service.metrics();
-        if let Some(cap) = options.max_conns {
-            let active = metrics.conn_active.get();
-            if active as usize >= cap {
-                shed_connection(&stream, metrics, active, cap as u64);
-                drop(stream);
-                continue;
-            }
-        }
-        // The accept counter doubles as the 1-based connection id keying
-        // this connection's trace events and thread name.
-        let conn_id = metrics.conn_accepted.inc();
-        metrics.trace(TraceKind::ConnAccept, conn_id, 0);
-        metrics.conn_active.inc();
-        reap_finished(&state, metrics);
-        let handle = {
-            let service = Arc::clone(&service);
-            let state = Arc::clone(&state);
-            let options = options.clone();
-            std::thread::Builder::new()
-                .name(format!("tdrd-conn-{conn_id}"))
-                .spawn(move || serve_connection(&service, &state, stream, conn_id, &options))
-        };
-        match handle {
-            Ok(handle) => state.conns.lock().expect("conns lock").push(handle),
-            Err(_) => {
-                // Could not spawn a thread: count it against the daemon's
-                // error tally and keep accepting — refusing one client is
-                // recoverable, dying is not.
-                metrics.conn_active.dec();
-                metrics.conn_errors.inc();
-                metrics.trace(TraceKind::ConnError, conn_id, 0);
-            }
-        }
-    }
+) -> io::Result<TcpDaemon> {
+    let service = Arc::new(service);
+    let handler = Arc::new(DaemonConns {
+        service: Arc::clone(&service),
+        options,
+    });
+    let registry = service.metrics().registry();
+    let listener = Listener::spawn(listener, "tdrd", registry, handler)?;
+    Ok(TcpDaemon { listener, service })
 }
 
 /// Refuse one over-cap connection: answer with a single
@@ -252,90 +442,21 @@ fn accept_loop(
 /// already vanished is shed all the same.
 fn shed_connection(stream: &TcpStream, metrics: &ServiceMetrics, active: u64, cap: u64) {
     let mut writer = CountingWrite::new(BufWriter::new(stream), Arc::clone(&metrics.bytes_out));
-    let wrote = ControlFrame::Busy {
+    let busy = ControlFrame::Busy {
         batch_id: 0,
         scope: BusyScope::Connections,
         active,
         limit: cap,
-    }
-    .write_to(&mut writer)
-    .and_then(|()| writer.flush().map_err(ControlError::from_io));
-    if wrote.is_ok() {
-        metrics.frames_out.inc();
-        metrics.frames_out_busy.inc();
-    }
+    };
+    let _ = send(metrics, &mut writer, &busy, &metrics.frames_out_busy);
     metrics.conn_shed.inc();
     metrics.trace(TraceKind::ConnShed, active, cap);
-}
-
-/// One connection's lifetime: serve until clean EOF / `Shutdown`, or a
-/// typed protocol/transport error (counted, never fatal to the daemon).
-fn serve_connection(
-    service: &AuditService,
-    state: &DaemonState,
-    stream: TcpStream,
-    conn_id: u64,
-    options: &DaemonOptions,
-) {
-    let metrics = service.metrics();
-    // Verdict frames are small and latency matters for the submit→verdict
-    // stream; disable Nagle and buffer writes per frame instead.
-    let _ = stream.set_nodelay(true);
-    if let Some(deadline) = options.idle_timeout {
-        // A read past the deadline fails with WouldBlock/TimedOut, which
-        // the serve loop classifies as `ControlError::IdleTimeout`.
-        let _ = stream.set_read_timeout(Some(deadline));
-    }
-    let reader = CountingRead::new(&stream, Arc::clone(&metrics.bytes_in));
-    let writer = CountingWrite::new(BufWriter::new(&stream), Arc::clone(&metrics.bytes_out));
-    // The connection id is the tenant id: submissions from this peer are
-    // round-robin scheduled against other connections' work and metered
-    // under `tenant_{conn_id}_*`.
-    let outcome = service.serve_as_tenant(reader, writer, conn_id, options.tenant_quota);
-    match &outcome {
-        Ok(()) => metrics.trace(TraceKind::ConnClose, conn_id, 0),
-        Err(ControlError::IdleTimeout) => {
-            metrics.conn_idle_timeout.inc();
-            metrics.conn_errors.inc();
-            metrics.trace(TraceKind::ConnIdleTimeout, conn_id, 0);
-        }
-        Err(_) => {
-            metrics.conn_errors.inc();
-            metrics.trace(TraceKind::ConnError, conn_id, 0);
-        }
-    }
-    metrics.conn_active.dec();
-    let _ = stream.shutdown(Shutdown::Both);
-    // Reap on the way out, not only on the next accept: an idle daemon
-    // (or a coordinator backend between batches) may never see another
-    // connect, and without this every handle it ever served would sit
-    // unjoined until shutdown. This thread's own handle reports
-    // unfinished to `is_finished` and is left for the next reaper.
-    reap_finished(state, metrics);
-}
-
-/// Join connection threads that already finished, so a long-lived daemon
-/// does not accumulate handles for every connection it ever served. Each
-/// join is counted by `conn_reaped` — together with the joins at
-/// shutdown, the counter balances against the threads ever spawned.
-fn reap_finished(state: &DaemonState, metrics: &ServiceMetrics) {
-    let mut conns = state.conns.lock().expect("conns lock");
-    let mut live = Vec::with_capacity(conns.len());
-    for handle in conns.drain(..) {
-        if handle.is_finished() {
-            let _ = handle.join();
-            metrics.conn_reaped.inc();
-        } else {
-            live.push(handle);
-        }
-    }
-    *conns = live;
 }
 
 impl TcpDaemon {
     /// The address the daemon is accepting on (resolves `:0` binds).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.local_addr()
     }
 
     /// The service the connections multiplex onto.
@@ -374,64 +495,26 @@ impl TcpDaemon {
     /// this caller controls first; a connection held open forever by a
     /// peer blocks shutdown by design — killing its work silently would
     /// violate the drain guarantee.
-    pub fn shutdown(mut self) -> DaemonReport {
-        self.shutdown_inner();
+    pub fn shutdown(self) -> DaemonReport {
+        let TcpDaemon {
+            mut listener,
+            service,
+        } = self;
+        listener.shutdown();
         // Every connection thread is joined: the snapshot below is final,
         // and the tally fields are just named views into it.
-        let snapshot = self.service.metrics_snapshot();
-        let connections_accepted = snapshot.counter("conn_accepted");
-        let connection_errors = snapshot.counter("conn_errors");
-        let connections_shed = snapshot.counter("conn_shed");
-        let service = Arc::clone(&self.service);
-        drop(self); // only `service` above and the daemon's own Arc remain
+        let snapshot = service.metrics_snapshot();
         DaemonReport {
+            connections_accepted: snapshot.counter("conn_accepted"),
+            connection_errors: snapshot.counter("conn_errors"),
+            connections_shed: snapshot.counter("conn_shed"),
+            snapshot,
             service: match Arc::try_unwrap(service) {
                 Ok(service) => service,
                 Err(_) => {
                     unreachable!("all daemon threads joined and dropped their service handles")
                 }
             },
-            connections_accepted,
-            connection_errors,
-            connections_shed,
-            snapshot,
         }
-    }
-
-    fn shutdown_inner(&mut self) {
-        let Some(accept) = self.accept_thread.take() else {
-            return;
-        };
-        self.stop.store(true, Ordering::SeqCst);
-        // `accept()` has no timeout; wake it with a throwaway connection.
-        // A wildcard bind (0.0.0.0 / ::) is not connectable everywhere,
-        // so target loopback on the bound port in that case. If
-        // connecting fails (listener already dead), the accept loop has
-        // already returned or will error out and observe `stop`.
-        let wake_addr = if self.addr.ip().is_unspecified() {
-            let loopback: std::net::IpAddr = if self.addr.is_ipv4() {
-                std::net::Ipv4Addr::LOCALHOST.into()
-            } else {
-                std::net::Ipv6Addr::LOCALHOST.into()
-            };
-            SocketAddr::new(loopback, self.addr.port())
-        } else {
-            self.addr
-        };
-        let _ = TcpStream::connect(wake_addr);
-        let _ = accept.join();
-        let conns = std::mem::take(&mut *self.state.conns.lock().expect("conns lock"));
-        for handle in conns {
-            let _ = handle.join();
-            self.service.metrics().conn_reaped.inc();
-        }
-    }
-}
-
-impl Drop for TcpDaemon {
-    fn drop(&mut self) {
-        self.shutdown_inner();
-        // The service Arc drops here; if this is the last handle, the
-        // AuditService's own Drop joins its workers.
     }
 }

@@ -633,7 +633,6 @@ pub struct ServiceMetrics {
     pub(crate) conn_errors: Arc<Counter>,
     pub(crate) conn_idle_timeout: Arc<Counter>,
     pub(crate) conn_shed: Arc<Counter>,
-    pub(crate) conn_reaped: Arc<Counter>,
     pub(crate) bytes_in: Arc<Counter>,
     pub(crate) bytes_out: Arc<Counter>,
     pub(crate) conn_frames: Arc<Histogram>,
@@ -678,6 +677,9 @@ impl ServiceMetrics {
     /// snapshot names them all from the start, at zero).
     pub fn new() -> Self {
         let r = MetricsRegistry::new();
+        // Counted by the TCP listener harness (`net.rs`), named here so
+        // every snapshot carries it.
+        r.counter("conn_reaped");
         ServiceMetrics {
             uptime_seconds: r.float_gauge("uptime_seconds"),
             sessions_submitted: r.counter("sessions_submitted"),
@@ -701,7 +703,6 @@ impl ServiceMetrics {
             conn_errors: r.counter("conn_errors"),
             conn_idle_timeout: r.counter("conn_idle_timeout"),
             conn_shed: r.counter("conn_shed"),
-            conn_reaped: r.counter("conn_reaped"),
             bytes_in: r.counter("bytes_in"),
             bytes_out: r.counter("bytes_out"),
             conn_frames: r.histogram("conn_frames", &CONN_FRAMES_EDGES),

@@ -67,8 +67,6 @@ pub enum RegistryError {
     Container(ContainerError),
     /// The program decoded but failed bytecode verification.
     Verify(VerifyError),
-    /// The reference id is not resident (never loaded, or evicted).
-    Unknown(ReferenceId),
 }
 
 impl fmt::Display for RegistryError {
@@ -76,9 +74,6 @@ impl fmt::Display for RegistryError {
         match self {
             RegistryError::Container(e) => write!(f, "container rejected: {e}"),
             RegistryError::Verify(e) => write!(f, "program failed verification: {e}"),
-            RegistryError::Unknown(id) => {
-                write!(f, "reference {id} is not registered")
-            }
         }
     }
 }

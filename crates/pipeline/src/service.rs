@@ -1,22 +1,23 @@
 //! The persistent audit service: a warmed worker pool behind job tickets.
 //!
-//! The one-shot entry points in [`crate::pool`] spawn scoped worker
-//! threads, build per-worker [`ReferenceCache`]s from scratch, audit one
-//! batch, and tear everything down. A fleet operator auditing traffic
-//! continuously (the deployment of Aviram et al. and Deterland) pays that
-//! spin-up on every batch. [`AuditService`] pays it **once**:
+//! A fleet operator auditing traffic continuously (the deployment of
+//! Aviram et al. and Deterland) cannot pay a worker spin-up and a
+//! per-worker [`ReferenceCache`] rebuild on every batch. [`AuditService`]
+//! pays it **once**:
 //!
 //! * [`AuditService::builder`] validates the configuration up front
 //!   ([`AuditConfig::validate`] — zero workers or a zero high-water mark
 //!   are typed [`ConfigError`]s, not silent fallbacks) and spawns the
 //!   worker pool at `build()`. Each worker owns a warm [`ReferenceCache`]
 //!   for the service's lifetime.
-//! * [`AuditService::submit_batch`] / [`AuditService::submit_stream`]
-//!   enqueue work and return a [`BatchTicket`] immediately. The ticket
-//!   yields per-session verdicts as they arrive
-//!   ([`BatchTicket::recv`]) and a final deterministic report
-//!   ([`BatchTicket::wait`] / [`BatchTicket::wait_stream`]). Dropping a
-//!   ticket cancels its not-yet-audited sessions.
+//! * [`AuditService::submit`] enqueues [`Sessions`] — decoded jobs or a
+//!   TDRB byte stream — against the built-in or a registered reference
+//!   and returns a [`BatchTicket`] immediately
+//!   ([`AuditService::submit_batch`] is the borrowed-slice convenience).
+//!   The ticket yields per-session verdicts as they arrive
+//!   ([`BatchTicket::recv`]) and a final deterministic [`BatchReport`]
+//!   ([`BatchTicket::wait`]). Dropping a ticket cancels its
+//!   not-yet-audited sessions.
 //! * [`AuditService::serve`] is the daemon loop: [`crate::control`]
 //!   frames in, verdict/summary frames out, over any `Read + Write` pair
 //!   (a socket, or the in-memory [`duplex`] used by the tests and
@@ -45,11 +46,10 @@
 //! `tests/fairness_torture.rs`. Within one tenant, order is FIFO, so
 //! verdict streams are unchanged for a lone submitter.
 //!
-//! Determinism is unchanged from the one-shot paths: a verdict depends
-//! only on the job, the service configuration, and the session seed —
-//! never on pool temperature. The one-shot entry points are now thin
-//! shims over a temporary service, and the test suite pins warm-service
-//! resubmission byte-identical to fresh one-shot calls.
+//! Determinism: a verdict depends only on the job, the service
+//! configuration, and the session seed — never on pool temperature. The
+//! test suite pins warm-service resubmission byte-identical to a fresh
+//! service.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -67,7 +67,6 @@ use crate::cache::ReferenceCache;
 use crate::control::{AckStatus, BusyScope, ControlError, ControlFrame};
 use crate::ingest::{BatchStream, IngestError};
 use crate::obs::{Counter, Gauge, MetricsSnapshot, ServiceMetrics, TraceEvent, TraceKind};
-use crate::pool::{BatchReport, StreamReport};
 use crate::registry::{
     PinnedReference, ReferenceRegistry, RegistryError, RegistryLoad, DEFAULT_REFERENCE_BUDGET,
 };
@@ -128,6 +127,49 @@ impl ResidencyGate {
 /// promises memory bounded by the high-water mark, so the retraining
 /// capture cannot be allowed to grow with the batch.
 pub const RETRAIN_CAPTURE_CAP: usize = 256;
+
+// ---------------------------------------------------------------------------
+// Submissions
+// ---------------------------------------------------------------------------
+
+/// What one [`AuditService::submit`] audits.
+pub enum Sessions {
+    /// Decoded jobs, moved into one shared allocation and queued at once.
+    Jobs(Vec<AuditJob>),
+    /// A TDRB byte stream (`docs/FORMATS.md` §2), decoded lazily under the
+    /// service's high-water residency bound — a batch far larger than RAM
+    /// audits in bounded memory. Buffered internally, so a raw `File` or
+    /// socket is fine.
+    Tdrb(Box<dyn Read + Send>),
+}
+
+impl Sessions {
+    /// A TDRB stream over `reader`.
+    pub fn tdrb(reader: impl Read + Send + 'static) -> Self {
+        Sessions::Tdrb(Box::new(reader))
+    }
+}
+
+/// Why [`AuditService::submit`] refused a submission; nothing was queued.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SubmitError {
+    /// The named reference is not resident in the registry (never loaded,
+    /// or evicted): [`AuditService::put_reference`] it and resubmit.
+    UnknownReference(ReferenceId),
+    /// The TDRB batch header failed to decode.
+    Ingest(IngestError),
+}
+
+impl std::fmt::Display for SubmitError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SubmitError::UnknownReference(id) => write!(f, "reference {id} is not registered"),
+            SubmitError::Ingest(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for SubmitError {}
 
 // ---------------------------------------------------------------------------
 // Work items and worker threads
@@ -359,7 +401,7 @@ struct Shared {
 /// worker panics mid-audit, the slot must not leak: a leaked slot would
 /// wedge the streaming feeder in `gate.acquire` forever, turning a worker
 /// death into a silent hang instead of the loud short-verdict-set failure
-/// `BatchTicket::finish` raises.
+/// `BatchTicket::wait` raises.
 struct SlotGuard(Option<Arc<ResidencyGate>>);
 
 impl Drop for SlotGuard {
@@ -460,9 +502,10 @@ fn worker_main(worker: u64, shared: Arc<Shared>, queue: Arc<WorkQueue>) {
 /// Configures and spawns an [`AuditService`].
 ///
 /// Defaults: one worker per available core, the default high-water mark,
-/// TDR-only scoring, and no cross-batch retraining. Unlike the one-shot
-/// [`AuditConfig`], `0` is **not** a magic value here — `build()` returns
-/// a typed [`ConfigError`] for zero workers or a zero high-water mark.
+/// TDR-only scoring, and no cross-batch retraining. Unlike
+/// [`AuditConfig::workers`] in `Sanity::audit_batch`, `0` is **not** a
+/// magic value here — `build()` returns a typed [`ConfigError`] for zero
+/// workers or a zero high-water mark.
 #[derive(Debug, Clone)]
 pub struct ServiceBuilder {
     reference: Reference,
@@ -516,9 +559,9 @@ impl ServiceBuilder {
         self
     }
 
-    /// Replace the whole configuration at once (the one-shot shims use
-    /// this to carry a caller's [`AuditConfig`] verbatim — after resolving
-    /// its `0` fallbacks, since `build()` rejects them).
+    /// Replace the whole configuration at once (a caller's
+    /// [`AuditConfig`] verbatim — `build()` rejects a zero worker count or
+    /// high-water mark, so resolve those first).
     pub fn config(mut self, cfg: AuditConfig) -> Self {
         self.cfg = cfg;
         self
@@ -530,13 +573,13 @@ impl ServiceBuilder {
     /// for subsequent submissions — the cross-batch retraining hook.
     /// Requires a trained battery on the service. Default off: retraining
     /// changes statistical baselines across batches by design, so
-    /// warm-service output is byte-identical to one-shot calls only with
+    /// warm-service output is byte-identical to a fresh service only with
     /// this off.
     ///
     /// Streamed submissions keep their bounded-memory promise: only the
     /// first [`RETRAIN_CAPTURE_CAP`] sessions of a streamed batch are
-    /// candidates for absorption (materialized `submit_batch` batches
-    /// absorb every clean session — the caller already holds them all).
+    /// candidates for absorption ([`Sessions::Jobs`] submissions absorb
+    /// every clean session — the caller already holds them all).
     pub fn retrain_on_clean(mut self, on: bool) -> Self {
         self.retrain_on_clean = on;
         self
@@ -697,17 +740,46 @@ impl AuditService {
         self.shared.battery.lock().expect("battery lock").clone()
     }
 
-    /// Submit a materialized batch. Returns immediately; the ticket yields
-    /// verdicts as workers produce them and the final report on
-    /// [`BatchTicket::wait`].
+    /// Submit a materialized batch against the service's built-in
+    /// reference — the convenience form of [`submit`](Self::submit) for a
+    /// borrowed slice (the jobs are copied once into the submission).
     pub fn submit_batch(&self, jobs: &[AuditJob]) -> BatchTicket {
-        self.submit_batch_owned(jobs.to_vec())
+        self.enqueue(Sessions::Jobs(jobs.to_vec()), None, LOCAL_TENANT, None)
+            .expect("a materialized batch has no header to reject")
     }
 
-    /// [`submit_batch`](Self::submit_batch) without the defensive copy —
-    /// the jobs are moved into one shared allocation.
-    pub fn submit_batch_owned(&self, jobs: Vec<AuditJob>) -> BatchTicket {
-        self.submit_batch_inner(jobs, None)
+    /// Submit `sessions` for audit and return immediately; the ticket
+    /// yields verdicts as workers produce them and the final report on
+    /// [`BatchTicket::wait`].
+    ///
+    /// `reference` selects a program registered with
+    /// [`put_reference`](Self::put_reference) — the in-process twin of a
+    /// `SubmitBatch` v2 frame — or, when `None`, the service's built-in
+    /// reference. Registered references carry no trained battery, so
+    /// their sessions score TDR-only regardless of the service-wide
+    /// battery mode.
+    ///
+    /// A [`Sessions::Tdrb`] stream has its batch header validated here, so
+    /// a malformed header fails fast on the caller; its sessions then
+    /// decode lazily on a feeder thread, holding at most
+    /// [`AuditConfig::high_water`] resident. Verdicts are byte-identical to
+    /// a [`Sessions::Jobs`] submission of the same sessions.
+    pub fn submit(
+        &self,
+        sessions: Sessions,
+        reference: Option<ReferenceId>,
+    ) -> Result<BatchTicket, SubmitError> {
+        let pin = match reference {
+            None => None,
+            Some(id) => Some(Arc::new(
+                self.shared
+                    .registry
+                    .checkout(&id)
+                    .ok_or(SubmitError::UnknownReference(id))?,
+            )),
+        };
+        self.enqueue(sessions, pin, LOCAL_TENANT, None)
+            .map_err(SubmitError::Ingest)
     }
 
     /// Open, verify, and admit a TDRP container into the service's
@@ -750,227 +822,109 @@ impl AuditService {
         Ok(generation)
     }
 
-    /// Submit a materialized batch to be audited against the *registered*
-    /// reference `reference` instead of the service's built-in one — the
-    /// in-process twin of a `SubmitBatch` v2 frame. Fails with
-    /// [`RegistryError::Unknown`] if the id is not resident (never loaded
-    /// or evicted); [`put_reference`](Self::put_reference) and resubmit.
-    ///
-    /// Registered references carry no trained battery, so these sessions
-    /// score TDR-only regardless of the service-wide battery mode.
-    pub fn submit_batch_for(
-        &self,
-        jobs: &[AuditJob],
-        reference: ReferenceId,
-    ) -> Result<BatchTicket, RegistryError> {
-        let pin = self
-            .shared
-            .registry
-            .checkout(&reference)
-            .ok_or(RegistryError::Unknown(reference))?;
-        Ok(self.submit_batch_inner(jobs.to_vec(), Some(Arc::new(pin))))
-    }
-
     /// The service's reference registry (shared with every serve loop).
     pub fn reference_registry(&self) -> &ReferenceRegistry {
         &self.shared.registry
     }
 
-    fn submit_batch_inner(
+    /// The one enqueue core behind [`submit`](Self::submit),
+    /// [`submit_batch`](Self::submit_batch) and the serve loop: work items
+    /// are tagged with `tenant` for the fair scheduler, and `handles` (if
+    /// any) receive per-tenant throughput/depth updates. Jobs are queued
+    /// at once from one shared allocation; a TDRB stream is fed by a
+    /// feeder thread under the high-water residency bound. `Err` only for
+    /// a stream whose batch header fails to decode (nothing enqueued).
+    fn enqueue(
         &self,
-        jobs: Vec<AuditJob>,
+        sessions: Sessions,
         reference: Option<Arc<PinnedReference>>,
-    ) -> BatchTicket {
-        let batch_seq = self.shared.metrics.batches_submitted.inc();
-        self.shared
-            .metrics
-            .sessions_submitted
-            .add(jobs.len() as u64);
-        self.shared
-            .metrics
-            .trace(TraceKind::BatchSubmit, batch_seq, jobs.len() as u64);
-        let jobs = Arc::new(jobs);
-        let battery = reference.is_none().then(|| self.battery()).flatten();
-        let retrain_traces = (self.shared.retrain_on_clean && reference.is_none()).then(|| {
-            jobs.iter()
-                .map(|j| (j.session_id, j.observed_ipds.clone()))
-                .collect()
-        });
-        let (sink, rx) = mpsc::channel();
-        let cancelled = Arc::new(AtomicBool::new(false));
-        for index in 0..jobs.len() {
-            let item = WorkItem {
-                index,
-                source: JobSource::Shared(Arc::clone(&jobs), index),
-                battery: battery.clone(),
-                reference: reference.clone(),
-                cancelled: Arc::clone(&cancelled),
-                gate: None,
-                sink: sink.clone(),
-                tenant: LOCAL_TENANT,
-                tenant_depth: None,
-            };
-            self.shared.metrics.queue_depth.inc();
-            self.queue
-                .push(item)
-                .map_err(|_| "queue closed")
-                .expect("service workers outlive submissions");
-        }
-        // Dropping the last local sender lets the ticket's receiver close
-        // once every worker has delivered (or skipped) its verdict.
-        drop(sink);
-        BatchTicket {
-            rx,
-            cancelled,
-            batch_seq,
-            collected: Vec::with_capacity(jobs.len()),
-            feeder: None,
-            immediate_outcome: Some(FeederOutcome {
-                error: None,
-                submitted: jobs.len(),
-                peak_resident: 0,
-                retrain_traces,
-            }),
-            workers: self.workers.len().min(jobs.len()).max(1),
-            shared: Arc::clone(&self.shared),
-            finished: false,
-        }
-    }
-
-    /// Submit a TDRB byte stream. The batch header is validated here (so
-    /// a malformed header fails fast, on the caller); sessions then decode
-    /// lazily on a feeder thread under the service's high-water residency
-    /// bound, exactly like the one-shot [`crate::audit_stream`].
-    pub fn submit_stream<R>(&self, reader: R) -> Result<BatchTicket, IngestError>
-    where
-        R: Read + Send + 'static,
-    {
-        self.submit_stream_tenant(reader, LOCAL_TENANT, None, None)
-    }
-
-    /// [`submit_stream`](Self::submit_stream) with work items tagged for
-    /// the fair scheduler: `tenant` keys the round-robin, `handles` (if
-    /// any) receive per-tenant throughput/depth updates.
-    fn submit_stream_tenant<R>(
-        &self,
-        reader: R,
         tenant: u64,
         handles: Option<&TenantMetricHandles>,
-        reference: Option<Arc<PinnedReference>>,
-    ) -> Result<BatchTicket, IngestError>
-    where
-        R: Read + Send + 'static,
-    {
-        let sessions = BatchStream::new(io::BufReader::new(reader))?;
-        Ok(self.submit_session_iter_tenant(sessions, tenant, handles, reference))
-    }
-
-    /// Submit any pull-based session source on a feeder thread.
-    pub fn submit_session_iter<I>(&self, sessions: I) -> BatchTicket
-    where
-        I: IntoIterator<Item = Result<AuditJob, IngestError>> + Send + 'static,
-        I::IntoIter: Send,
-    {
-        self.submit_session_iter_tenant(sessions, LOCAL_TENANT, None, None)
-    }
-
-    fn submit_session_iter_tenant<I>(
-        &self,
-        sessions: I,
-        tenant: u64,
-        handles: Option<&TenantMetricHandles>,
-        reference: Option<Arc<PinnedReference>>,
-    ) -> BatchTicket
-    where
-        I: IntoIterator<Item = Result<AuditJob, IngestError>> + Send + 'static,
-        I::IntoIter: Send,
-    {
-        let batch_seq = self.shared.metrics.batches_submitted.inc();
-        // Session count unknown until the stream drains: `b = 0` marks a
-        // streamed submission in the trace.
-        self.shared
-            .metrics
-            .trace(TraceKind::BatchSubmit, batch_seq, 0);
+    ) -> Result<BatchTicket, IngestError> {
+        let metrics = &self.shared.metrics;
+        let (jobs, stream) = match sessions {
+            Sessions::Jobs(jobs) => (jobs, None),
+            Sessions::Tdrb(reader) => {
+                let stream = BatchStream::new(io::BufReader::new(reader))?;
+                (Vec::new(), Some(stream))
+            }
+        };
+        let batch_seq = metrics.batches_submitted.inc();
+        // A stream's session count is unknown until it drains: `b = 0`
+        // marks a streamed submission in the trace.
+        metrics.trace(TraceKind::BatchSubmit, batch_seq, jobs.len() as u64);
         let (sink, rx) = mpsc::channel();
         let cancelled = Arc::new(AtomicBool::new(false));
         let default_reference = reference.is_none();
-        let ctx = FeedContext {
+        let submission = Submission {
             queue: Arc::clone(&self.queue),
             sink,
             cancelled: Arc::clone(&cancelled),
             battery: default_reference.then(|| self.battery()).flatten(),
             reference,
-            high_water: self.shared.cfg.high_water,
             // Cross-batch retraining feeds the *default* battery; a
             // registry batch's clean traces belong to a different program
             // and must not be absorbed into it.
             retrain: self.shared.retrain_on_clean && default_reference,
-            queue_depth: Arc::clone(&self.shared.metrics.queue_depth),
-            sessions_submitted: Arc::clone(&self.shared.metrics.sessions_submitted),
             tenant,
+            queue_depth: Arc::clone(&metrics.queue_depth),
             tenant_depth: handles.map(|h| Arc::clone(&h.queue_depth)),
-            tenant_sessions: handles.map(|h| Arc::clone(&h.sessions)),
         };
-        let feeder = std::thread::Builder::new()
-            .name("audit-service-feeder".to_string())
-            .spawn(move || feed(sessions, ctx))
-            .expect("spawn audit service feeder");
-        BatchTicket {
-            rx,
-            cancelled,
-            batch_seq,
-            collected: Vec::new(),
-            feeder: Some(feeder),
-            immediate_outcome: None,
-            workers: self.workers.len().min(self.shared.cfg.high_water).max(1),
-            shared: Arc::clone(&self.shared),
-            finished: false,
-        }
-    }
-
-    /// Blocking streamed audit over a non-`Send` session source: the
-    /// feeder loop runs on the calling thread (this is what the one-shot
-    /// [`crate::audit_stream`] shim uses, since its iterator may borrow
-    /// caller state), workers audit concurrently, and the collected
-    /// report is returned when the stream and all verdicts drain.
-    pub fn run_stream<I>(&self, sessions: I) -> Result<StreamReport, IngestError>
-    where
-        I: IntoIterator<Item = Result<AuditJob, IngestError>>,
-    {
-        let batch_seq = self.shared.metrics.batches_submitted.inc();
-        self.shared
-            .metrics
-            .trace(TraceKind::BatchSubmit, batch_seq, 0);
-        let (sink, rx) = mpsc::channel();
-        let cancelled = Arc::new(AtomicBool::new(false));
-        let ctx = FeedContext {
-            queue: Arc::clone(&self.queue),
-            sink,
-            cancelled: Arc::clone(&cancelled),
-            battery: self.battery(),
-            reference: None,
-            high_water: self.shared.cfg.high_water,
-            retrain: self.shared.retrain_on_clean,
-            queue_depth: Arc::clone(&self.shared.metrics.queue_depth),
-            sessions_submitted: Arc::clone(&self.shared.metrics.sessions_submitted),
-            tenant: LOCAL_TENANT,
-            tenant_depth: None,
-            tenant_sessions: None,
-        };
-        let outcome = feed(sessions, ctx);
         let mut ticket = BatchTicket {
             rx,
             cancelled,
             batch_seq,
-            collected: Vec::new(),
+            collected: Vec::with_capacity(jobs.len()),
             feeder: None,
-            immediate_outcome: Some(outcome),
-            workers: self.workers.len().min(self.shared.cfg.high_water).max(1),
+            immediate_outcome: None,
+            workers: 1,
             shared: Arc::clone(&self.shared),
             finished: false,
         };
-        while ticket.recv().is_some() {}
-        ticket.wait_stream()
+        if let Some(stream) = stream {
+            let ctx = FeedContext {
+                submission,
+                high_water: self.shared.cfg.high_water,
+                sessions_submitted: Arc::clone(&metrics.sessions_submitted),
+                tenant_sessions: handles.map(|h| Arc::clone(&h.sessions)),
+            };
+            let feeder = std::thread::Builder::new()
+                .name("audit-service-feeder".to_string())
+                .spawn(move || feed(stream, ctx))
+                .expect("spawn audit service feeder");
+            ticket.feeder = Some(feeder);
+            ticket.workers = self.workers.len().min(self.shared.cfg.high_water).max(1);
+            return Ok(ticket);
+        }
+        let n = jobs.len();
+        metrics.sessions_submitted.add(n as u64);
+        if let Some(h) = handles {
+            h.sessions.add(n as u64);
+        }
+        let retrain_traces = submission.retrain.then(|| {
+            jobs.iter()
+                .map(|j| (j.session_id, j.observed_ipds.clone()))
+                .collect()
+        });
+        let jobs = Arc::new(jobs);
+        for index in 0..n {
+            let source = JobSource::Shared(Arc::clone(&jobs), index);
+            assert!(
+                submission.push(index, source, None),
+                "service workers outlive submissions"
+            );
+        }
+        // Dropping the submission's sender lets the ticket's receiver
+        // close once every worker has delivered (or skipped) its verdict.
+        drop(submission);
+        ticket.immediate_outcome = Some(FeederOutcome {
+            error: None,
+            submitted: n,
+            peak_resident: 0,
+            retrain_traces,
+        });
+        ticket.workers = self.workers.len().min(n).max(1);
+        Ok(ticket)
     }
 
     /// Graceful shutdown: close the work queue, let workers drain every
@@ -1062,21 +1016,17 @@ impl AuditService {
                         },
                     };
                     match resolved {
-                        Err(id) => {
-                            let write = ControlFrame::ReferenceAck {
+                        Err(id) => send(
+                            metrics,
+                            &mut writer,
+                            &ControlFrame::ReferenceAck {
                                 put_id: batch_id,
                                 reference: id,
                                 status: AckStatus::Unknown,
                                 resident_bytes: self.shared.registry.resident_bytes(),
-                            }
-                            .write_to(&mut writer)
-                            .and_then(|()| writer.flush().map_err(ControlError::from_io));
-                            if write.is_ok() {
-                                metrics.frames_out.inc();
-                                metrics.frames_out_reference_ack.inc();
-                            }
-                            write
-                        }
+                            },
+                            &metrics.frames_out_reference_ack,
+                        ),
                         Ok(pin) => {
                             if let Some(refusal) =
                                 quota_refusal(quota, admitted_batches, &tdrb, batch_id)
@@ -1086,14 +1036,7 @@ impl AuditService {
                                     h.rejected.inc();
                                 }
                                 metrics.trace(TraceKind::QuotaReject, tenant, batch_id);
-                                let write = refusal
-                                    .write_to(&mut writer)
-                                    .and_then(|()| writer.flush().map_err(ControlError::from_io));
-                                if write.is_ok() {
-                                    metrics.frames_out.inc();
-                                    metrics.frames_out_busy.inc();
-                                }
-                                write
+                                send(metrics, &mut writer, &refusal, &metrics.frames_out_busy)
                             } else {
                                 admitted_batches += 1;
                                 self.serve_batch(
@@ -1104,7 +1047,6 @@ impl AuditService {
                                     tenant,
                                     handles.as_ref(),
                                 )
-                                .and_then(|()| writer.flush().map_err(ControlError::from_io))
                             }
                         }
                     }
@@ -1131,14 +1073,12 @@ impl AuditService {
                             resident_bytes: self.shared.registry.resident_bytes(),
                         },
                     };
-                    let write = ack
-                        .write_to(&mut writer)
-                        .and_then(|()| writer.flush().map_err(ControlError::from_io));
-                    if write.is_ok() {
-                        metrics.frames_out.inc();
-                        metrics.frames_out_reference_ack.inc();
-                    }
-                    write
+                    send(
+                        metrics,
+                        &mut writer,
+                        &ack,
+                        &metrics.frames_out_reference_ack,
+                    )
                 }
                 ControlFrame::PutBattery { put_id, json } => {
                     metrics.frames_in_put_battery.inc();
@@ -1156,38 +1096,23 @@ impl AuditService {
                             status: AckStatus::Rejected(reason),
                         },
                     };
-                    let write = ack
-                        .write_to(&mut writer)
-                        .and_then(|()| writer.flush().map_err(ControlError::from_io));
-                    if write.is_ok() {
-                        metrics.frames_out.inc();
-                        metrics.frames_out_battery_ack.inc();
-                    }
-                    write
+                    send(metrics, &mut writer, &ack, &metrics.frames_out_battery_ack)
                 }
                 ControlFrame::StatsRequest => {
                     metrics.frames_in_stats_request.inc();
-                    let write = ControlFrame::Stats {
+                    let stats = ControlFrame::Stats {
                         snapshot: metrics.snapshot(),
-                    }
-                    .write_to(&mut writer)
-                    .and_then(|()| writer.flush().map_err(ControlError::from_io));
-                    if write.is_ok() {
-                        metrics.frames_out.inc();
-                        metrics.frames_out_stats.inc();
-                    }
-                    write
+                    };
+                    send(metrics, &mut writer, &stats, &metrics.frames_out_stats)
                 }
                 ControlFrame::Shutdown => {
                     metrics.frames_in_shutdown.inc();
-                    let write = ControlFrame::ShutdownAck
-                        .write_to(&mut writer)
-                        .and_then(|()| writer.flush().map_err(ControlError::from_io));
-                    if write.is_ok() {
-                        metrics.frames_out.inc();
-                        metrics.frames_out_shutdown_ack.inc();
-                    }
-                    break write;
+                    break send(
+                        metrics,
+                        &mut writer,
+                        &ControlFrame::ShutdownAck,
+                        &metrics.frames_out_shutdown_ack,
+                    );
                 }
                 other => Err(ControlError::UnexpectedFrame(other.kind_name())),
             };
@@ -1202,6 +1127,8 @@ impl AuditService {
         outcome
     }
 
+    /// Audit one admitted `SubmitBatch` and write its response: the
+    /// verdicts in submission order, then one `Summary` or `Error`.
     fn serve_batch<W: Write>(
         &self,
         batch_id: u64,
@@ -1212,20 +1139,18 @@ impl AuditService {
         handles: Option<&TenantMetricHandles>,
     ) -> Result<(), ControlError> {
         let metrics = &self.shared.metrics;
-        let mut ticket =
-            match self.submit_stream_tenant(io::Cursor::new(tdrb), tenant, handles, reference) {
-                Ok(ticket) => ticket,
-                Err(e) => {
-                    metrics.batch_errors.inc();
-                    metrics.frames_out.inc();
-                    metrics.frames_out_error.inc();
-                    return ControlFrame::Error {
-                        batch_id,
-                        message: e.to_string(),
-                    }
-                    .write_to(writer);
-                }
-            };
+        let sessions = Sessions::tdrb(io::Cursor::new(tdrb));
+        let mut ticket = match self.enqueue(sessions, reference, tenant, handles) {
+            Ok(ticket) => ticket,
+            Err(e) => {
+                metrics.batch_errors.inc();
+                let error = ControlFrame::Error {
+                    batch_id,
+                    message: e.to_string(),
+                };
+                return send(metrics, writer, &error, &metrics.frames_out_error);
+            }
+        };
         // Re-order scheduling-dependent arrivals into submission order so
         // the response byte stream is deterministic.
         let mut pending: std::collections::BTreeMap<usize, AuditVerdict> =
@@ -1255,29 +1180,40 @@ impl AuditService {
             }
         }
         debug_assert!(pending.is_empty(), "verdict indexes are contiguous");
-        match ticket.wait_stream() {
+        match ticket.wait() {
             Ok(report) => {
-                metrics.frames_out.inc();
-                metrics.frames_out_summary.inc();
-                ControlFrame::Summary {
+                let summary = ControlFrame::Summary {
                     batch_id,
                     workers: report.workers as u64,
                     peak_resident: report.peak_resident as u64,
                     summary: report.summary,
-                }
-                .write_to(writer)
+                };
+                send(metrics, writer, &summary, &metrics.frames_out_summary)
             }
             Err(e) => {
-                metrics.frames_out.inc();
-                metrics.frames_out_error.inc();
-                ControlFrame::Error {
+                let error = ControlFrame::Error {
                     batch_id,
                     message: e.to_string(),
-                }
-                .write_to(writer)
+                };
+                send(metrics, writer, &error, &metrics.frames_out_error)
             }
         }
     }
+}
+
+/// Write one response frame and flush it. Only a frame that was written
+/// is counted — in `frames_out` and in `kind`, its per-kind counter.
+pub(crate) fn send<W: Write>(
+    metrics: &ServiceMetrics,
+    writer: &mut W,
+    frame: &ControlFrame,
+    kind: &Counter,
+) -> Result<(), ControlError> {
+    frame.write_to(writer)?;
+    writer.flush().map_err(ControlError::from_io)?;
+    metrics.frames_out.inc();
+    kind.inc();
+    Ok(())
 }
 
 impl Drop for AuditService {
@@ -1348,8 +1284,8 @@ fn quota_refusal(
     None
 }
 
-/// Everything a feeder needs besides the session source.
-struct FeedContext {
+/// What every work item of one submission shares.
+struct Submission {
     queue: Arc<WorkQueue>,
     sink: mpsc::Sender<(usize, AuditVerdict)>,
     cancelled: Arc<AtomicBool>,
@@ -1357,33 +1293,67 @@ struct FeedContext {
     /// Pinned registry entry the whole submission audits against
     /// (`None` = default reference).
     reference: Option<Arc<PinnedReference>>,
-    high_water: usize,
+    /// Capture clean traces for cross-batch retraining.
     retrain: bool,
+    /// Scheduling key stamped on every work item.
+    tenant: u64,
+    queue_depth: Arc<Gauge>,
+    tenant_depth: Option<Arc<Gauge>>,
+}
+
+impl Submission {
+    /// Queue one session as a work item. `false` if the service shut down
+    /// under the submitter (nothing was queued).
+    fn push(&self, index: usize, source: JobSource, gate: Option<Arc<ResidencyGate>>) -> bool {
+        let item = WorkItem {
+            index,
+            source,
+            battery: self.battery.clone(),
+            reference: self.reference.clone(),
+            cancelled: Arc::clone(&self.cancelled),
+            gate,
+            sink: self.sink.clone(),
+            tenant: self.tenant,
+            tenant_depth: self.tenant_depth.clone(),
+        };
+        self.queue_depth.inc();
+        if let Some(depth) = &self.tenant_depth {
+            depth.inc();
+        }
+        if self.queue.push(item).is_ok() {
+            return true;
+        }
+        self.queue_depth.dec();
+        if let Some(depth) = &self.tenant_depth {
+            depth.dec();
+        }
+        false
+    }
+}
+
+/// Everything a feeder needs besides the session source.
+struct FeedContext {
+    submission: Submission,
+    high_water: usize,
     /// Metric handles (not the whole set: the feeder may outlive the
     /// ticket but records only these).
-    queue_depth: Arc<Gauge>,
     sessions_submitted: Arc<Counter>,
-    /// Scheduling key stamped on every work item this feeder enqueues.
-    tenant: u64,
-    tenant_depth: Option<Arc<Gauge>>,
     tenant_sessions: Option<Arc<Counter>>,
 }
 
 /// The streaming feeder loop: pull sessions under the residency gate and
-/// enqueue them as work items. Runs on a spawned thread
-/// ([`AuditService::submit_session_iter`]) or the calling thread
-/// ([`AuditService::run_stream`]).
+/// enqueue them as work items. Runs on the submission's feeder thread.
 fn feed<I>(sessions: I, ctx: FeedContext) -> FeederOutcome
 where
     I: IntoIterator<Item = Result<AuditJob, IngestError>>,
 {
     let gate = Arc::new(ResidencyGate::new());
-    let mut retrain_traces = ctx.retrain.then(Vec::new);
+    let mut retrain_traces = ctx.submission.retrain.then(Vec::new);
     let mut error = None;
     let mut submitted = 0usize;
     let mut iter = sessions.into_iter();
     loop {
-        if ctx.cancelled.load(Ordering::Relaxed) {
+        if ctx.submission.cancelled.load(Ordering::Relaxed) {
             break;
         }
         // Claim a residency slot *before* decoding the next session: the
@@ -1395,37 +1365,21 @@ where
                 // Bounded capture: streamed ingest promises memory
                 // proportional to `high_water`, not the batch, so only a
                 // capped prefix of a streamed batch can feed retraining
-                // (absorb_clean zips verdicts with this prefix). The
-                // materialized `submit_batch` path captures every session
-                // — the caller already holds the whole batch there.
+                // (absorb_clean zips verdicts with this prefix). A
+                // `Sessions::Jobs` submission captures every session — the
+                // caller already holds the whole batch there.
                 if let Some(traces) = &mut retrain_traces {
                     if traces.len() < RETRAIN_CAPTURE_CAP {
                         traces.push((job.session_id, job.observed_ipds.clone()));
                     }
                 }
-                let item = WorkItem {
-                    index: submitted,
-                    source: JobSource::Owned(Box::new(job)),
-                    battery: ctx.battery.clone(),
-                    reference: ctx.reference.clone(),
-                    cancelled: Arc::clone(&ctx.cancelled),
-                    gate: Some(Arc::clone(&gate)),
-                    sink: ctx.sink.clone(),
-                    tenant: ctx.tenant,
-                    tenant_depth: ctx.tenant_depth.clone(),
-                };
-                ctx.queue_depth.inc();
-                if let Some(depth) = &ctx.tenant_depth {
-                    depth.inc();
-                }
-                if let Err(item) = ctx.queue.push(item) {
+                let source = JobSource::Owned(Box::new(job));
+                if !ctx
+                    .submission
+                    .push(submitted, source, Some(Arc::clone(&gate)))
+                {
                     // The service shut down under us; hand the slot back
                     // and stop feeding.
-                    ctx.queue_depth.dec();
-                    if let Some(depth) = &ctx.tenant_depth {
-                        depth.dec();
-                    }
-                    drop(item);
                     gate.release();
                     break;
                 }
@@ -1446,7 +1400,7 @@ where
             }
         }
     }
-    drop(ctx.sink);
+    drop(ctx.submission);
     FeederOutcome {
         error,
         submitted,
@@ -1459,12 +1413,29 @@ where
 // Tickets
 // ---------------------------------------------------------------------------
 
+/// Everything one submission produces.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BatchReport {
+    /// One verdict per submitted session, in submission order.
+    pub verdicts: Vec<AuditVerdict>,
+    /// Deterministic fleet-wide aggregation — byte-identical for the same
+    /// sessions whether they were submitted as jobs or as a TDRB stream.
+    pub summary: FleetSummary,
+    /// Workers that could serve the submission (the pool size, capped by
+    /// the session count for jobs and by the high-water mark for streams).
+    pub workers: usize,
+    /// The most sessions ever resident at once during streamed ingest
+    /// (decoded, not yet audited). Never exceeds
+    /// [`AuditConfig::high_water`]; zero for [`Sessions::Jobs`].
+    pub peak_resident: usize,
+}
+
 /// Handle to one submission in flight on an [`AuditService`].
 ///
 /// Yields per-session verdicts as workers produce them
 /// ([`recv`](Self::recv); arrival order is scheduling-dependent, indexes
 /// are submission order) and the final deterministic report on
-/// [`wait`](Self::wait) / [`wait_stream`](Self::wait_stream). **Dropping
+/// [`wait`](Self::wait). **Dropping
 /// the ticket cancels the submission**: sessions not yet audited are
 /// skipped (their residency slots released) and the service moves on to
 /// the next batch.
@@ -1476,8 +1447,8 @@ pub struct BatchTicket {
     batch_seq: u64,
     collected: Vec<(usize, AuditVerdict)>,
     feeder: Option<JoinHandle<FeederOutcome>>,
-    /// Outcome known at submission time (batch mode, or a blocking feed
-    /// that already ran); mutually exclusive with `feeder`.
+    /// Outcome known at submission time ([`Sessions::Jobs`]); mutually
+    /// exclusive with `feeder`.
     immediate_outcome: Option<FeederOutcome>,
     workers: usize,
     shared: Arc<Shared>,
@@ -1510,28 +1481,12 @@ impl BatchTicket {
 
     /// Drain remaining verdicts and produce the final batch report.
     ///
-    /// For batch submissions the `Err` arm is unreachable; for streamed
-    /// submissions it carries the first ingest error, after in-flight
-    /// sessions drained (same contract as the one-shot
-    /// [`crate::audit_stream`]).
-    pub fn wait(self) -> Result<BatchReport, IngestError> {
-        let (report, _) = self.finish()?;
-        Ok(report)
-    }
-
-    /// Like [`wait`](Self::wait), but reports the streaming residency
-    /// peak too (zero for materialized batch submissions).
-    pub fn wait_stream(self) -> Result<StreamReport, IngestError> {
-        let (report, peak_resident) = self.finish()?;
-        Ok(StreamReport {
-            verdicts: report.verdicts,
-            summary: report.summary,
-            workers: report.workers,
-            peak_resident,
-        })
-    }
-
-    fn finish(mut self) -> Result<(BatchReport, usize), IngestError> {
+    /// For [`Sessions::Jobs`] submissions the `Err` arm is unreachable;
+    /// for [`Sessions::Tdrb`] streams it carries the first ingest error,
+    /// after in-flight sessions drained. A malformed session poisons the
+    /// batch, but bytes before it are never replayed twice and sessions
+    /// after it are never pulled.
+    pub fn wait(mut self) -> Result<BatchReport, IngestError> {
         // Drain by moving — no per-verdict clone on the internal path.
         while let Ok(pair) = self.rx.recv() {
             self.collected.push(pair);
@@ -1579,14 +1534,12 @@ impl BatchTicket {
         if let Some(traces) = outcome.retrain_traces {
             absorb_clean(&self.shared, &verdicts, &traces);
         }
-        Ok((
-            BatchReport {
-                verdicts,
-                summary,
-                workers: self.workers,
-            },
-            outcome.peak_resident,
-        ))
+        Ok(BatchReport {
+            verdicts,
+            summary,
+            workers: self.workers,
+            peak_resident: outcome.peak_resident,
+        })
     }
 }
 
@@ -1781,7 +1734,6 @@ mod tests {
     use replay::record;
 
     use super::*;
-    use crate::pool;
 
     /// A tiny echo service: one request in, one response out, with a bit
     /// of payload-dependent compute — enough for real verdicts, fast
@@ -1850,6 +1802,7 @@ mod tests {
         }
     }
 
+    /// Sessions `0..n`; every id ≡ 2 (mod 3) is tampered (see [`covert_ids`]).
     fn mixed_jobs(program: &Arc<jbc::Program>, n: u64) -> Vec<AuditJob> {
         (0..n)
             .map(|id| {
@@ -1860,6 +1813,36 @@ mod tests {
                 }
             })
             .collect()
+    }
+
+    /// The tampered session ids of a [`mixed_jobs`] batch.
+    fn covert_ids(jobs: &[AuditJob]) -> Vec<u64> {
+        jobs.iter()
+            .map(|j| j.session_id)
+            .filter(|id| id % 3 == 2)
+            .collect()
+    }
+
+    /// Audit `jobs` on a fresh service built from `cfg`, then shut it down.
+    fn one_shot(reference: &Reference, jobs: &[AuditJob], cfg: AuditConfig) -> BatchReport {
+        let service = AuditService::builder(reference.clone())
+            .config(cfg)
+            .build()
+            .expect("builds");
+        let report = service
+            .submit_batch(jobs)
+            .wait()
+            .expect("jobs never fail ingest");
+        service.shutdown();
+        report
+    }
+
+    /// Submit `jobs` as an encoded TDRB stream.
+    fn submit_tdrb(service: &AuditService, jobs: &[AuditJob]) -> BatchTicket {
+        let bytes = crate::ingest::encode_batch(jobs);
+        service
+            .submit(Sessions::tdrb(io::Cursor::new(bytes)), None)
+            .expect("header ok")
     }
 
     #[test]
@@ -1927,10 +1910,10 @@ mod tests {
         );
         service.shutdown();
 
-        let cold_a = pool::audit_batch(&reference, &jobs_a, &cfg);
-        let cold_b = pool::audit_batch(&reference, &jobs_b, &cfg);
-        assert_eq!(warm_a, cold_a, "first warm batch == fresh one-shot");
-        assert_eq!(warm_b, cold_b, "second warm batch == fresh one-shot");
+        let cold_a = one_shot(&reference, &jobs_a, cfg);
+        let cold_b = one_shot(&reference, &jobs_b, cfg);
+        assert_eq!(warm_a, cold_a, "first warm batch == fresh service");
+        assert_eq!(warm_b, cold_b, "second warm batch == fresh service");
     }
 
     #[test]
@@ -1964,10 +1947,10 @@ mod tests {
             .workers(2)
             .build()
             .expect("builds");
-        let baseline = pool::audit_batch(
+        let baseline = one_shot(
             &Reference::new(Arc::clone(&program)),
             &jobs,
-            service.config(),
+            *service.config(),
         );
         let ticket = service.submit_batch(&jobs);
         // Shut down with the whole batch in flight: graceful shutdown
@@ -1982,18 +1965,13 @@ mod tests {
     fn stream_submission_over_reader_matches_batch() {
         let program = echo_program(3);
         let jobs = mixed_jobs(&program, 6);
-        let bytes = crate::ingest::encode_batch(&jobs);
         let service = AuditService::builder(Reference::new(Arc::clone(&program)))
             .workers(2)
             .high_water(3)
             .build()
             .expect("builds");
         let batch = service.submit_batch(&jobs).wait().expect("batch");
-        let stream = service
-            .submit_stream(io::Cursor::new(bytes))
-            .expect("header ok")
-            .wait_stream()
-            .expect("stream audits");
+        let stream = submit_tdrb(&service, &jobs).wait().expect("stream audits");
         assert_eq!(stream.verdicts, batch.verdicts);
         assert_eq!(stream.summary, batch.summary);
         assert!(stream.peak_resident <= 3);
@@ -2442,6 +2420,258 @@ mod tests {
             .trace_events()
             .iter()
             .any(|e| e.kind == TraceKind::QuotaReject && e.a == 7 && e.b == 1));
+        service.shutdown();
+    }
+
+    #[test]
+    fn serve_counts_only_frames_actually_written() {
+        /// A transport that takes `ok` frame writes, then fails every
+        /// write after (a peer that vanished before the Summary).
+        struct FailAfter {
+            ok: usize,
+        }
+        impl Write for FailAfter {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                if self.ok == 0 {
+                    return Err(io::Error::new(io::ErrorKind::BrokenPipe, "peer gone"));
+                }
+                self.ok -= 1;
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let program = echo_program(3);
+        let jobs = mixed_jobs(&program, 3);
+        let service = AuditService::builder(Reference::new(program))
+            .workers(2)
+            .build()
+            .expect("builds");
+        let request = ControlFrame::SubmitBatch {
+            batch_id: 1,
+            tdrb: crate::ingest::encode_batch(&jobs),
+            reference: None,
+        }
+        .encode();
+        // Every verdict frame goes through; the Summary write fails.
+        let got = service.serve(&request[..], FailAfter { ok: jobs.len() });
+        assert!(matches!(got, Err(ControlError::Io(..))), "{got:?}");
+        let snap = service.metrics_snapshot();
+        assert_eq!(snap.counter("frames_out"), jobs.len() as u64);
+        assert_eq!(snap.counter("frames_out_verdict"), jobs.len() as u64);
+        assert_eq!(snap.counter("frames_out_summary"), 0);
+        service.shutdown();
+    }
+
+    #[test]
+    fn batch_flags_exactly_the_tampered_sessions() {
+        let program = echo_program(3);
+        let jobs = mixed_jobs(&program, 8);
+        let cfg = AuditConfig {
+            workers: 2,
+            ..AuditConfig::default()
+        };
+        let report = one_shot(&Reference::new(program), &jobs, cfg);
+        assert_eq!(report.summary.flagged, covert_ids(&jobs));
+        assert_eq!(report.summary.errors, 0);
+        assert_eq!(report.summary.sessions, jobs.len() as u64);
+    }
+
+    #[test]
+    fn verdicts_independent_of_worker_count() {
+        let program = echo_program(3);
+        let jobs = mixed_jobs(&program, 8);
+        let reference = Reference::new(program);
+        let base = AuditConfig::default();
+        let one = one_shot(&reference, &jobs, AuditConfig { workers: 1, ..base });
+        let four = one_shot(&reference, &jobs, AuditConfig { workers: 4, ..base });
+        assert_eq!(one.verdicts, four.verdicts);
+        assert_eq!(one.summary, four.summary);
+        assert_eq!(one.workers, 1);
+    }
+
+    #[test]
+    fn verdicts_independent_of_submission_order() {
+        let program = echo_program(3);
+        let mut jobs = mixed_jobs(&program, 8);
+        let service = AuditService::builder(Reference::new(program))
+            .workers(2)
+            .build()
+            .expect("builds");
+        let forward = service.submit_batch(&jobs).wait().expect("audits");
+        jobs.reverse();
+        let backward = service.submit_batch(&jobs).wait().expect("audits");
+        let mut f = forward.verdicts.clone();
+        let mut b = backward.verdicts.clone();
+        f.sort_by_key(|v| v.session_id);
+        b.sort_by_key(|v| v.session_id);
+        assert_eq!(f, b);
+        assert_eq!(forward.summary, backward.summary);
+        service.shutdown();
+    }
+
+    #[test]
+    fn streaming_sees_every_verdict_once() {
+        let program = echo_program(3);
+        let jobs = mixed_jobs(&program, 8);
+        let service = AuditService::builder(Reference::new(program))
+            .workers(3)
+            .build()
+            .expect("builds");
+        let mut ticket = service.submit_batch(&jobs);
+        let mut seen = vec![0u32; jobs.len()];
+        while let Some((i, v)) = ticket.recv() {
+            seen[i] += 1;
+            assert_eq!(v.session_id, jobs[i].session_id);
+        }
+        let report = ticket.wait().expect("jobs never fail ingest");
+        assert!(seen.iter().all(|&c| c == 1), "{seen:?}");
+        assert_eq!(report.verdicts.len(), jobs.len());
+        service.shutdown();
+    }
+
+    #[test]
+    fn suppressed_output_scores_maximal() {
+        let program = echo_program(3);
+        let mut job = session(&program, 0, &[]);
+        // The suspect machine sent one packet fewer than it should have
+        // (e.g. a channel encoding in packet *presence*): the IPD count no
+        // longer matches the reference, which is maximal evidence.
+        job.observed_ipds.pop();
+        let cfg = AuditConfig {
+            workers: 1,
+            ..AuditConfig::default()
+        };
+        let report = one_shot(&Reference::new(program), &[job], cfg);
+        let v = &report.verdicts[0];
+        assert_eq!(v.score, 1.0);
+        assert!(v.flagged);
+        assert!(v.error.is_none());
+    }
+
+    #[test]
+    fn empty_batch_is_empty_report() {
+        let cfg = AuditConfig {
+            workers: 2,
+            ..AuditConfig::default()
+        };
+        let report = one_shot(&Reference::new(echo_program(3)), &[], cfg);
+        assert!(report.verdicts.is_empty());
+        assert_eq!(report.summary.sessions, 0);
+        assert_eq!(report.workers, 1);
+    }
+
+    #[test]
+    fn battery_mode_scores_all_detectors_and_keeps_tdr_bit_identical() {
+        let program = echo_program(3);
+        let jobs = mixed_jobs(&program, 8);
+        let covert = covert_ids(&jobs);
+        let clean_traces: Vec<Vec<u64>> = jobs
+            .iter()
+            .filter(|j| !covert.contains(&j.session_id))
+            .map(|j| j.observed_ipds.clone())
+            .collect();
+
+        let plain = Reference::new(Arc::clone(&program));
+        let with_battery = Reference::new(Arc::clone(&program))
+            .with_battery(DetectorBattery::trained(&clean_traces));
+
+        let base = AuditConfig {
+            workers: 3,
+            ..AuditConfig::default()
+        };
+        let full_cfg = AuditConfig {
+            battery: BatteryMode::Full,
+            ..base
+        };
+        let tdr_only = one_shot(&plain, &jobs, base);
+        let full = one_shot(&with_battery, &jobs, full_cfg);
+
+        assert_eq!(full.summary.flagged, covert);
+        for (a, b) in tdr_only.verdicts.iter().zip(&full.verdicts) {
+            assert_eq!(
+                a.score.to_bits(),
+                b.score.to_bits(),
+                "battery must not perturb the TDR score"
+            );
+            assert_eq!(a.flagged, b.flagged);
+            assert!(a.detector_scores.is_empty());
+            assert_eq!(b.detector_scores.len(), 5);
+            assert_eq!(b.detector_scores["Sanity"].to_bits(), b.score.to_bits());
+        }
+        assert_eq!(full.summary.detector_stats.len(), 5);
+
+        // The streamed path agrees byte-for-byte.
+        let service = AuditService::builder(with_battery)
+            .config(full_cfg)
+            .build()
+            .expect("builds");
+        let stream = submit_tdrb(&service, &jobs).wait().expect("clean stream");
+        assert_eq!(stream.verdicts, full.verdicts);
+        assert_eq!(stream.summary, full.summary);
+        service.shutdown();
+    }
+
+    #[test]
+    fn stream_respects_tiny_high_water_mark() {
+        let program = echo_program(3);
+        let jobs = mixed_jobs(&program, 8);
+        let service = AuditService::builder(Reference::new(program))
+            .workers(3)
+            .high_water(1)
+            .build()
+            .expect("builds");
+        let report = submit_tdrb(&service, &jobs).wait().expect("clean stream");
+        assert_eq!(report.peak_resident, 1, "one session resident at a time");
+        assert_eq!(report.workers, 1, "workers capped by residency slots");
+        assert_eq!(report.verdicts.len(), jobs.len());
+        service.shutdown();
+    }
+
+    #[test]
+    fn stream_error_aborts_and_stops_pulling() {
+        let program = echo_program(3);
+        let jobs = mixed_jobs(&program, 6);
+        let mut bytes = crate::ingest::encode_batch(&jobs);
+        // Corrupt the fourth session's log frame (its CRC no longer matches).
+        let fourth_end = crate::ingest::encode_batch(&jobs[..4]).len();
+        bytes[fourth_end - 10] ^= 0xff;
+        let service = AuditService::builder(Reference::new(program))
+            .workers(2)
+            .build()
+            .expect("builds");
+        let mut ticket = service
+            .submit(Sessions::tdrb(io::Cursor::new(bytes)), None)
+            .expect("batch header ok");
+        let mut delivered = 0;
+        while ticket.recv().is_some() {
+            delivered += 1;
+        }
+        let got = ticket.wait();
+        assert!(
+            matches!(got, Err(IngestError::BadSession { index: 3, .. })),
+            "{got:?}"
+        );
+        assert_eq!(delivered, 3, "sessions before the bad one still audit");
+        assert_eq!(
+            service.metrics_snapshot().counter("sessions_submitted"),
+            3,
+            "nothing pulled past the malformed session"
+        );
+        service.shutdown();
+    }
+
+    #[test]
+    fn empty_stream_is_empty_report() {
+        let service = AuditService::builder(Reference::new(echo_program(3)))
+            .workers(1)
+            .build()
+            .expect("builds");
+        let report = submit_tdrb(&service, &[]).wait().expect("empty stream");
+        assert!(report.verdicts.is_empty());
+        assert_eq!(report.summary.sessions, 0);
+        assert_eq!(report.peak_resident, 0);
         service.shutdown();
     }
 }

@@ -37,6 +37,9 @@
 
 use std::fmt;
 
+pub use jbc::wire::Crc32;
+use jbc::wire::{crc32, put_varint, read_varint, VarintError};
+
 use crate::log::{EventLog, PacketRecord};
 
 /// Magic bytes opening every encoded log.
@@ -93,21 +96,18 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
+impl From<VarintError> for CodecError {
+    fn from(e: VarintError) -> Self {
+        match e {
+            VarintError::Truncated => CodecError::Truncated,
+            VarintError::Overflow => CodecError::VarintOverflow,
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Primitives
 // ---------------------------------------------------------------------------
-
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
 
 fn put_varint128(out: &mut Vec<u8>, mut v: u128) {
     loop {
@@ -127,12 +127,6 @@ fn zigzag(d: i64) -> u64 {
 
 fn unzigzag(z: u64) -> i64 {
     ((z >> 1) as i64) ^ -((z & 1) as i64)
-}
-
-/// Delta of `cur` against `prev` as a zigzag varint (wrapping, so exact for
-/// any pair).
-fn put_delta(out: &mut Vec<u8>, prev: u64, cur: u64) {
-    put_varint(out, zigzag(cur.wrapping_sub(prev) as i64));
 }
 
 struct Reader<'a> {
@@ -156,19 +150,7 @@ impl<'a> Reader<'a> {
     }
 
     fn varint(&mut self) -> Result<u64, CodecError> {
-        let mut v = 0u64;
-        for shift in (0..64).step_by(7) {
-            let b = self.byte()?;
-            let part = (b & 0x7f) as u64;
-            if shift == 63 && part > 1 {
-                return Err(CodecError::VarintOverflow);
-            }
-            v |= part << shift;
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-        }
-        Err(CodecError::VarintOverflow)
+        Ok(read_varint(self.buf, &mut self.pos)?)
     }
 
     fn varint128(&mut self) -> Result<u128, CodecError> {
@@ -188,58 +170,8 @@ impl<'a> Reader<'a> {
     }
 
     fn delta(&mut self, prev: u64) -> Result<u64, CodecError> {
-        Ok(prev.wrapping_add(unzigzag(self.varint()?) as u64))
+        Ok(wire::apply_delta(prev, self.varint()?))
     }
-}
-
-/// Incremental CRC-32 (IEEE 802.3) hasher.
-///
-/// The streaming readers validate checksums as bytes arrive — feed chunks
-/// with [`update`](Crc32::update) in any split and [`value`](Crc32::value)
-/// equals [`wire::crc32`] of the concatenation. Bitwise implementation:
-/// fast enough for ingest and dependency free.
-#[derive(Debug, Clone)]
-pub struct Crc32 {
-    state: u32,
-}
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Crc32 {
-    /// Fresh hasher (equivalent to the CRC of zero bytes).
-    pub fn new() -> Self {
-        Crc32 { state: !0u32 }
-    }
-
-    /// Fold `data` into the running checksum.
-    pub fn update(&mut self, data: &[u8]) {
-        let mut crc = self.state;
-        for &b in data {
-            crc ^= b as u32;
-            for _ in 0..8 {
-                let mask = (crc & 1).wrapping_neg();
-                crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-            }
-        }
-        self.state = crc;
-    }
-
-    /// The checksum of everything fed so far (does not consume the hasher;
-    /// further [`update`](Crc32::update)s continue from this state).
-    pub fn value(&self) -> u32 {
-        !self.state
-    }
-}
-
-/// One-shot CRC-32 (IEEE 802.3) of `data`.
-fn crc32(data: &[u8]) -> u32 {
-    let mut h = Crc32::new();
-    h.update(data);
-    h.value()
 }
 
 // ---------------------------------------------------------------------------
@@ -259,16 +191,16 @@ pub(crate) fn encode_log(log: &EventLog) -> Vec<u8> {
     put_varint(&mut out, log.values.len() as u64);
     let mut prev = 0u64;
     for &v in &log.values {
-        put_delta(&mut out, prev, v);
+        wire::put_delta(&mut out, prev, v);
         prev = v;
     }
 
     put_varint(&mut out, log.packets.len() as u64);
     let (mut icount, mut wire, mut avail) = (0u64, 0u64, 0u64);
     for p in &log.packets {
-        put_delta(&mut out, icount, p.icount);
-        put_delta(&mut out, wire, p.wire_at);
-        put_delta(&mut out, avail, p.avail_at);
+        wire::put_delta(&mut out, icount, p.icount);
+        wire::put_delta(&mut out, wire, p.wire_at);
+        wire::put_delta(&mut out, avail, p.avail_at);
         icount = p.icount;
         wire = p.wire_at;
         avail = p.avail_at;
@@ -363,36 +295,25 @@ pub(crate) fn decode_payload(payload: &[u8]) -> Result<EventLog, CodecError> {
     })
 }
 
-/// Low-level varint wire helpers, shared with the audit pipeline's batch
-/// ingest format so both layers speak the same encoding.
+/// Low-level wire helpers for the audit pipeline's batch and control
+/// formats: the shared varint/CRC-32 toolkit ([`jbc::wire`]) plus the
+/// zigzag-delta and `f64` encodings this codec defines.
 pub mod wire {
     use super::CodecError;
 
-    /// Append a LEB128 varint.
-    pub fn put_varint(out: &mut Vec<u8>, v: u64) {
-        super::put_varint(out, v);
-    }
+    pub use jbc::wire::{crc32, put_varint};
 
-    /// Read a LEB128 varint at `*pos`, advancing it.
+    /// Read a LEB128 varint at `*pos`, advancing it ([`jbc::wire::read_varint`]
+    /// with this codec's error type).
+    #[inline]
     pub fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
-        let mut r = super::Reader { buf, pos: *pos };
-        let v = r.varint()?;
-        *pos = r.pos;
-        Ok(v)
+        Ok(jbc::wire::read_varint(buf, pos)?)
     }
 
     /// Append `cur` as a zigzag varint delta against `prev` (wrapping, so
     /// exact for any pair).
     pub fn put_delta(out: &mut Vec<u8>, prev: u64, cur: u64) {
-        super::put_delta(out, prev, cur);
-    }
-
-    /// Read a zigzag varint delta against `prev` at `*pos`, advancing it.
-    pub fn read_delta(buf: &[u8], pos: &mut usize, prev: u64) -> Result<u64, CodecError> {
-        let mut r = super::Reader { buf, pos: *pos };
-        let v = r.delta(prev)?;
-        *pos = r.pos;
-        Ok(v)
+        put_varint(out, super::zigzag(cur.wrapping_sub(prev) as i64));
     }
 
     /// Apply an already-read zigzag varint `z` as a delta against `prev`
@@ -400,11 +321,6 @@ pub mod wire {
     /// to reconstruct the value; wrapping, so exact for any pair).
     pub fn apply_delta(prev: u64, z: u64) -> u64 {
         prev.wrapping_add(super::unzigzag(z) as u64)
-    }
-
-    /// CRC-32 (IEEE) over `data` — the same checksum the log trailer uses.
-    pub fn crc32(data: &[u8]) -> u32 {
-        super::crc32(data)
     }
 
     /// Append an `f64` as the 8 little-endian bytes of its IEEE-754 bit
@@ -653,12 +569,6 @@ mod tests {
         assert!(reader.next().expect("first frame").is_ok());
         assert!(reader.next().expect("second frame").is_err());
         assert!(reader.next().is_none(), "iteration stops after failure");
-    }
-
-    #[test]
-    fn crc32_known_vector() {
-        // CRC-32/IEEE of "123456789".
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
     }
 
     #[test]

@@ -110,24 +110,21 @@ pub fn read_length_prefix<R: Read>(src: &mut R) -> Result<Option<usize>, StreamE
 /// a tenth byte above `1` is a [`CodecError::VarintOverflow`]; end-of-input
 /// mid-varint is [`CodecError::Truncated`].
 pub fn read_varint_from<R: Read>(src: &mut R, raw: &mut Vec<u8>) -> Result<u64, StreamError> {
-    let mut v = 0u64;
-    for shift in (0..64).step_by(7) {
+    let start = raw.len();
+    // Gather the varint's bytes (its last byte has no continuation bit;
+    // ten is the most any u64 needs), then decode them in place.
+    loop {
         let mut byte = [0u8; 1];
         if read_full(src, &mut byte)? == 0 {
             return Err(CodecError::Truncated.into());
         }
-        let b = byte[0];
-        raw.push(b);
-        let part = (b & 0x7f) as u64;
-        if shift == 63 && part > 1 {
-            return Err(CodecError::VarintOverflow.into());
-        }
-        v |= part << shift;
-        if b & 0x80 == 0 {
-            return Ok(v);
+        raw.push(byte[0]);
+        if byte[0] & 0x80 == 0 || raw.len() - start == 10 {
+            break;
         }
     }
-    Err(CodecError::VarintOverflow.into())
+    let mut pos = start;
+    Ok(codec::wire::read_varint(raw, &mut pos)?)
 }
 
 /// Read one encoded log of exactly `len` bytes from `src` into `buf`

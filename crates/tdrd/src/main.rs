@@ -765,7 +765,7 @@ fn run_client(addr: &str, args: &Args) {
         let local = sanity.audit_batch(&jobs, &cfg);
         let tdrb = ingest::encode_batch(&jobs);
         let outcome = client
-            .submit_batch_for(b, tdrb, expected_id)
+            .submit(b, tdrb, Some(expected_id), |_, _| {})
             .unwrap_or_else(|e| {
                 eprintln!("tdrd client: batch {b} protocol failure: {e}");
                 exit(1)

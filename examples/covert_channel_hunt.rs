@@ -20,7 +20,7 @@ use std::net::{TcpListener, TcpStream};
 use channels::{bit_error_rate, message_bits, TimingChannel, Trctc};
 use detectors::{Detector, DetectorBattery, RegularityTest};
 use sanity_tdr::audit_pipeline::ingest;
-use sanity_tdr::{compare, serve_tcp, AuditJob, BatteryMode, Client, Sanity};
+use sanity_tdr::{compare, serve_tcp_with, AuditJob, BatteryMode, Client, DaemonOptions, Sanity};
 use vm::TargetSendTimes;
 use workloads::nfs;
 
@@ -111,7 +111,8 @@ fn main() {
         .build()
         .expect("valid service configuration");
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
-    let daemon = serve_tcp(service, listener).expect("daemon starts");
+    let daemon =
+        serve_tcp_with(service, listener, DaemonOptions::default()).expect("daemon starts");
     let jobs = vec![
         AuditJob {
             session_id: 0,

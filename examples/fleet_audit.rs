@@ -18,13 +18,17 @@
 
 use std::collections::HashSet;
 
+use std::io::Cursor;
 use std::net::{TcpListener, TcpStream};
 
 use channels::{message_bits, Needle, TimingChannel, Trctc};
 use detectors::{CceTest, Detector, DetectorBattery, RegularityTest};
 use sanity_tdr::audit_pipeline::ingest;
 use sanity_tdr::audit_pipeline::verdict::{labeled_roc, labeled_roc_by_detector};
-use sanity_tdr::{compare, serve_tcp, AuditConfig, AuditJob, BatteryMode, Client, Sanity};
+use sanity_tdr::{
+    compare, serve_tcp_with, AuditConfig, AuditJob, BatteryMode, Client, DaemonOptions, Sanity,
+    Sessions,
+};
 use vm::TargetSendTimes;
 use workloads::nfs;
 
@@ -160,7 +164,7 @@ fn main() {
         .build()
         .expect("valid service configuration");
     let mut ticket = service
-        .submit_stream(std::io::Cursor::new(batch_bytes.clone()))
+        .submit(Sessions::tdrb(Cursor::new(batch_bytes.clone())), None)
         .expect("batch header decodes");
     // The ticket streams verdicts as workers finish them (arrival order
     // is scheduling-dependent; the final report is not).
@@ -168,7 +172,7 @@ fn main() {
     while ticket.recv().is_some() {
         streamed += 1;
     }
-    let sharded = ticket.wait_stream().expect("stream audits");
+    let sharded = ticket.wait().expect("stream audits");
     assert_eq!(streamed, sharded.verdicts.len());
 
     // Cross-check: the materialized batch path on a single worker must
@@ -191,9 +195,9 @@ fn main() {
     // Warm resubmission: the same service audits a second copy of the
     // batch without respawning anything, and the report is identical.
     let resubmitted = service
-        .submit_stream(std::io::Cursor::new(batch_bytes.clone()))
+        .submit(Sessions::tdrb(Cursor::new(batch_bytes.clone())), None)
         .expect("batch header decodes")
-        .wait_stream()
+        .wait()
         .expect("stream audits");
     assert_eq!(resubmitted.summary, sharded.summary);
     println!(
@@ -207,7 +211,8 @@ fn main() {
     // batch travels the TDRC control plane over localhost, and the wire
     // verdicts must come back bit-identical to the in-process ones.
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
-    let daemon = serve_tcp(service, listener).expect("daemon starts");
+    let daemon =
+        serve_tcp_with(service, listener, DaemonOptions::default()).expect("daemon starts");
     let mut client =
         Client::new(TcpStream::connect(daemon.local_addr()).expect("connect to daemon"));
     let outcome = client

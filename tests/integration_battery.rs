@@ -2,8 +2,8 @@
 //! fleet pipeline.
 //!
 //! The acceptance bar of the battery refactor: enabling full-battery
-//! scoring must not perturb the TDR path — a battery-enabled
-//! `audit_stream` run produces TDR scores *byte-identical* to the
+//! scoring must not perturb the TDR path — a battery-enabled streamed
+//! audit produces TDR scores *byte-identical* to the
 //! pre-refactor TDR-only path, on top of which every session gains the
 //! other four Fig. 8 detector scores.
 
@@ -12,7 +12,7 @@ use std::collections::HashSet;
 use detectors::{CceTest, Detector, DetectorBattery, RegularityTest, TraceView};
 use sanity_tdr::audit_pipeline::ingest;
 use sanity_tdr::audit_pipeline::verdict::labeled_roc_by_detector;
-use sanity_tdr::{compare, AuditConfig, AuditJob, BatteryMode, Sanity};
+use sanity_tdr::{compare, AuditConfig, AuditJob, BatchReport, BatteryMode, Sanity, Sessions};
 use workloads::nfs;
 
 /// One NFS service, a training set of clean traces, and a fleet of
@@ -60,6 +60,18 @@ fn fleet(n: u64, covert: &[u64]) -> (Sanity, Vec<Vec<u64>>, Vec<AuditJob>) {
     (sanity, train, jobs)
 }
 
+/// Stream `tdrb` through a fresh service of `sanity` built from `cfg`.
+fn audit_stream(sanity: &Sanity, tdrb: &[u8], cfg: &AuditConfig) -> BatchReport {
+    let service = sanity.audit_service().config(*cfg).build().expect("valid");
+    let report = service
+        .submit(Sessions::tdrb(std::io::Cursor::new(tdrb.to_vec())), None)
+        .expect("header decodes")
+        .wait()
+        .expect("stream");
+    service.shutdown();
+    report
+}
+
 /// A battery tuned for these short sessions (a handful of IPDs each).
 fn short_session_battery(train: &[Vec<u64>]) -> DetectorBattery {
     let mut battery = DetectorBattery::new();
@@ -80,7 +92,7 @@ fn battery_stream_tdr_scores_byte_identical_to_tdr_only_path() {
         high_water: 3,
         ..AuditConfig::default()
     };
-    let tdr_only = sanity.audit_stream(&bytes[..], &tdr_cfg).expect("stream");
+    let tdr_only = audit_stream(&sanity, &bytes, &tdr_cfg);
 
     // The battery-enabled path over the same bytes.
     let armed = sanity.clone().with_battery(short_session_battery(&train));
@@ -88,7 +100,7 @@ fn battery_stream_tdr_scores_byte_identical_to_tdr_only_path() {
         battery: BatteryMode::Full,
         ..tdr_cfg
     };
-    let full = armed.audit_stream(&bytes[..], &full_cfg).expect("stream");
+    let full = audit_stream(&armed, &bytes, &full_cfg);
 
     assert_eq!(tdr_only.verdicts.len(), full.verdicts.len());
     for (a, b) in tdr_only.verdicts.iter().zip(&full.verdicts) {

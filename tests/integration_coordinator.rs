@@ -11,8 +11,8 @@ use std::net::{TcpListener, TcpStream};
 
 use sanity_tdr::audit_pipeline::{ingest, FleetSummary};
 use sanity_tdr::{
-    serve_coordinator, serve_tcp, AckStatus, AuditConfig, AuditJob, Client, ControlError,
-    ControlFrame, DetectorBattery, Sanity, TcpDaemon,
+    serve_coordinator, serve_tcp_with, AckStatus, AuditConfig, AuditJob, Client, ControlError,
+    ControlFrame, DaemonOptions, DetectorBattery, Sanity, TcpDaemon,
 };
 
 #[path = "torture_common.rs"]
@@ -26,7 +26,7 @@ fn backend(sanity: &Sanity, workers: usize) -> TcpDaemon {
         .build()
         .expect("valid service configuration");
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
-    serve_tcp(service, listener).expect("backend starts")
+    serve_tcp_with(service, listener, DaemonOptions::default()).expect("backend starts")
 }
 
 fn cfg() -> AuditConfig {
@@ -345,7 +345,9 @@ fn put_reference_fans_out_to_every_backend_and_v2_submits_merge() {
         "every backend already holds it"
     );
 
-    let outcome = client.submit_batch_for(7, tdrb, id).expect("v2 batch");
+    let outcome = client
+        .submit(7, tdrb, Some(id), |_, _| {})
+        .expect("v2 batch");
     let summary = outcome.result.expect("audits");
     for (wire, local) in outcome.verdicts.iter().zip(&expected.verdicts) {
         assert_eq!(wire, local, "registered-reference verdict diverged");
@@ -358,7 +360,7 @@ fn put_reference_fans_out_to_every_backend_and_v2_submits_merge() {
     // An id nobody registered: the same typed error a daemon raises.
     let bogus = sanity_tdr::jbc::container::reference_id(host.program());
     let tdrb2 = ingest::encode_batch(&record(0..2));
-    match client.submit_batch_for(8, tdrb2, bogus) {
+    match client.submit(8, tdrb2, Some(bogus), |_, _| {}) {
         Err(ControlError::UnknownReference(got)) => assert_eq!(got, bogus),
         other => panic!("expected a typed UnknownReference, got {other:?}"),
     }
@@ -398,7 +400,7 @@ fn put_battery_fans_out_with_a_fleet_generation_floor() {
                 .build()
                 .expect("valid configuration");
             let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-            serve_tcp(service, listener).expect("backend starts")
+            serve_tcp_with(service, listener, DaemonOptions::default()).expect("backend starts")
         })
         .collect();
     let addrs: Vec<String> = armed.iter().map(|b| b.local_addr().to_string()).collect();
@@ -445,4 +447,62 @@ fn put_battery_fans_out_with_a_fleet_generation_floor() {
     client.shutdown().expect("shutdown ack");
     coordinator.shutdown();
     tdr_only.shutdown().service.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// The shared listener harness
+// ---------------------------------------------------------------------------
+
+/// The daemon and the coordinator run on one listener harness. Bound to
+/// the IPv4 wildcard, each must still serve a batch over loopback, and
+/// `shutdown()` must wake its accept loop (the wildcard address itself is
+/// not connectable everywhere, so the wake-up targets loopback) and join
+/// every connection thread it spawned.
+#[test]
+fn wildcard_bound_daemon_and_coordinator_shut_down_with_balanced_ledgers() {
+    let sanity = echo_sanity();
+    let jobs = echo_jobs(&sanity, 0..4);
+    let expected = sanity.audit_batch(&jobs, &cfg());
+    let tdrb = ingest::encode_batch(&jobs);
+
+    let service = sanity
+        .audit_service()
+        .workers(2)
+        .build()
+        .expect("valid service configuration");
+    let listener = TcpListener::bind("0.0.0.0:0").expect("bind wildcard");
+    let daemon =
+        serve_tcp_with(service, listener, DaemonOptions::default()).expect("daemon starts");
+    assert!(daemon.local_addr().ip().is_unspecified());
+    let backend = format!("127.0.0.1:{}", daemon.local_addr().port());
+    let listener = TcpListener::bind("0.0.0.0:0").expect("bind wildcard");
+    let coordinator = serve_coordinator(listener, vec![backend]).expect("coordinator starts");
+    assert!(coordinator.local_addr().ip().is_unspecified());
+
+    for port in [daemon.local_addr().port(), coordinator.local_addr().port()] {
+        let stream = TcpStream::connect(("127.0.0.1", port)).expect("connect over loopback");
+        let mut client = Client::new(stream);
+        let outcome = client
+            .submit_batch(1, tdrb.clone())
+            .expect("protocol clean");
+        assert_eq!(outcome.verdicts, expected.verdicts);
+        client.shutdown().expect("shutdown ack");
+    }
+
+    let report = coordinator.shutdown();
+    assert_eq!(report.connections_accepted, 1);
+    assert_eq!(
+        report.snapshot.counter("conn_reaped"),
+        report.connections_accepted,
+        "coordinator thread ledger unbalanced"
+    );
+    let report = daemon.shutdown();
+    // The direct client plus the coordinator's backend link.
+    assert_eq!(report.connections_accepted, 2);
+    assert_eq!(
+        report.snapshot.counter("conn_reaped"),
+        report.connections_accepted,
+        "daemon thread ledger unbalanced"
+    );
+    report.service.shutdown();
 }

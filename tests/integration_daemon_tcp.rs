@@ -14,7 +14,7 @@ use std::time::Duration;
 use rand::{rngs::StdRng, SeedableRng};
 use sanity_tdr::audit_pipeline::{ingest, AuditVerdict, FleetSummary};
 use sanity_tdr::{
-    serve_tcp, serve_tcp_with, AuditConfig, AuditJob, Client, ControlFrame, DaemonOptions, Sanity,
+    serve_tcp_with, AuditConfig, AuditJob, Client, ControlFrame, DaemonOptions, Sanity, Sessions,
     TcpDaemon,
 };
 
@@ -30,7 +30,7 @@ fn tcp_daemon(sanity: &Sanity, workers: usize, high_water: usize) -> TcpDaemon {
         .build()
         .expect("valid service configuration");
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
-    serve_tcp(service, listener).expect("daemon starts")
+    serve_tcp_with(service, listener, DaemonOptions::default()).expect("daemon starts")
 }
 
 /// Write `request` to a fresh connection, then read the response stream
@@ -244,7 +244,7 @@ fn concurrent_clients_get_bit_identical_verdicts_and_shutdown_drains() {
         let stream = TcpStream::connect(addr).expect("connect");
         let mut client = Client::new(stream);
         let outcome = client
-            .submit_batch_with(999, full_bytes, |index, _| {
+            .submit(999, full_bytes, None, |index, _| {
                 if index == 0 {
                     let _ = started_tx.send(());
                 }
@@ -542,9 +542,9 @@ fn slow_loris_and_mid_frame_stalls_are_isolated_per_connection() {
     // batch under the same high-water bound of 1.
     let stream = report
         .service
-        .submit_stream(std::io::Cursor::new(bytes))
+        .submit(Sessions::tdrb(std::io::Cursor::new(bytes)), None)
         .expect("header decodes")
-        .wait_stream()
+        .wait()
         .expect("stream audits after the stall");
     assert_eq!(stream.summary, expected.summary);
     assert_eq!(stream.peak_resident, 1);

@@ -19,7 +19,7 @@ use sanity_tdr::audit_pipeline::ingest;
 use sanity_tdr::jbc::container;
 use sanity_tdr::{
     serve_tcp_with, AckStatus, AuditConfig, AuditJob, BatchReport, Client, ControlError,
-    DaemonOptions, ReferenceId, Sanity,
+    DaemonOptions, ReferenceId, Sanity, Sessions,
 };
 use workloads::nfs::{encode_request, server_program, OP_LOOKUP};
 use workloads::scimark::fft_program;
@@ -305,7 +305,7 @@ fn tampered_put_reference_is_rejected_in_band_and_daemon_keeps_serving() {
 
     // Unknown id on submit: typed, in-band, connection survives.
     let err = client
-        .submit_batch_for(7, ingest::encode_batch(&f.jobs), f.id)
+        .submit(7, ingest::encode_batch(&f.jobs), Some(f.id), |_, _| {})
         .expect_err("unregistered reference must not audit");
     assert!(
         matches!(err, ControlError::UnknownReference(id) if id == f.id),
@@ -317,7 +317,7 @@ fn tampered_put_reference_is_rejected_in_band_and_daemon_keeps_serving() {
     assert!(matches!(put.status, AckStatus::Loaded));
     assert_eq!(put.reference, f.id);
     let outcome = client
-        .submit_batch_for(8, ingest::encode_batch(&f.jobs), f.id)
+        .submit(8, ingest::encode_batch(&f.jobs), Some(f.id), |_, _| {})
         .expect("protocol clean");
     let summary = outcome.result.expect("audits");
     assert_eq!(summary.summary, f.expected.summary);
@@ -360,7 +360,7 @@ fn eviction_order_and_verdicts_are_deterministic_across_budgets() {
                 let load = service.put_reference(&f.tdrp).expect("admitted");
                 assert_eq!(load.id, f.id);
                 let ticket = service
-                    .submit_batch_for(&f.jobs, f.id)
+                    .submit(Sessions::Jobs(f.jobs.clone()), Some(f.id))
                     .expect("reference resident at submit time");
                 let report = ticket.wait().expect("batch completes");
                 assert_eq!(report.summary, f.expected.summary, "{}", f.name);

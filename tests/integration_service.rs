@@ -1,5 +1,5 @@
 //! Integration suite for the persistent `AuditService`: warm-service
-//! reuse is byte-identical to fresh one-shot calls across worker counts
+//! reuse is byte-identical to fresh one-shot audits across worker counts
 //! and battery modes, tickets cancel cleanly, shutdown drains in-flight
 //! work, and the daemon loop over an in-memory duplex audits a TDRB
 //! batch end to end through the TDRC control plane.
@@ -9,12 +9,24 @@ use std::io::Cursor;
 use sanity_tdr::audit_pipeline::service::duplex;
 use sanity_tdr::audit_pipeline::{ingest, FleetSummary};
 use sanity_tdr::detectors::DetectorBattery;
-use sanity_tdr::{AuditConfig, AuditJob, BatteryMode, ConfigError, ControlFrame, Sanity};
+use sanity_tdr::{
+    AuditConfig, AuditJob, AuditService, BatchReport, BatteryMode, ConfigError, ControlFrame,
+    Sanity, Sessions,
+};
 use vm::Vm;
 use workloads::nfs;
 
 #[path = "torture_common.rs"]
 mod torture_common;
+
+/// Submit `bytes` to `service` as one TDRB stream and wait for the report.
+fn stream(service: &AuditService, bytes: &[u8]) -> BatchReport {
+    service
+        .submit(Sessions::tdrb(Cursor::new(bytes.to_vec())), None)
+        .expect("header decodes")
+        .wait()
+        .expect("audits")
+}
 
 fn nfs_sanity(seed: u64) -> Sanity {
     Sanity::new(nfs::server_program(4)).with_files(nfs::make_files(4, 1500, 4000, seed))
@@ -121,7 +133,9 @@ fn warm_stream_submission_matches_one_shot_audit_stream() {
         high_water: 2,
         ..AuditConfig::default()
     };
-    let one_shot = sanity.audit_stream(&bytes[..], &cfg).expect("audits");
+    let fresh = sanity.audit_service().config(cfg).build().expect("valid");
+    let one_shot = stream(&fresh, &bytes);
+    fresh.shutdown();
 
     let service = sanity
         .audit_service()
@@ -129,16 +143,8 @@ fn warm_stream_submission_matches_one_shot_audit_stream() {
         .high_water(2)
         .build()
         .expect("valid service configuration");
-    let warm_1 = service
-        .submit_stream(Cursor::new(bytes.clone()))
-        .expect("header decodes")
-        .wait_stream()
-        .expect("audits");
-    let warm_2 = service
-        .submit_stream(Cursor::new(bytes))
-        .expect("header decodes")
-        .wait_stream()
-        .expect("audits");
+    let warm_1 = stream(&service, &bytes);
+    let warm_2 = stream(&service, &bytes);
     service.shutdown();
 
     assert_eq!(warm_1, one_shot, "warm streamed == one-shot streamed");
@@ -348,11 +354,7 @@ fn retrain_capture_cap_boundary_256_vs_257() {
             .retrain_on_clean(true)
             .build()
             .expect("valid service configuration");
-        let report = service
-            .submit_stream(Cursor::new(bytes))
-            .expect("header decodes")
-            .wait_stream()
-            .expect("stream audits");
+        let report = stream(&service, &bytes);
         assert_eq!(report.summary.sessions, n as u64);
         assert!(
             report.summary.flagged.is_empty(),

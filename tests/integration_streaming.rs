@@ -8,11 +8,36 @@
 //! byte-identical verdicts and fleet summaries, and the streaming path must
 //! never hold more than the configured number of sessions resident.
 
+use std::io::{Cursor, Read};
+
 use replay::stream::ChunkReader;
 use replay::CodecError;
 use sanity_tdr::audit_pipeline::ingest::{self, BatchStream, IngestError};
-use sanity_tdr::{audit_pipeline, compare, AuditConfig, AuditJob, Sanity};
+use sanity_tdr::{compare, AuditConfig, AuditJob, BatchReport, Sanity, Sessions, SubmitError};
 use workloads::nfs;
+
+/// Stream the TDRB bytes `tdrb` yields through a fresh service built from
+/// `cfg` (`workers == 0` means one per core); a malformed batch header
+/// and a malformed session both come back as the ingest error.
+fn audit_stream(
+    sanity: &Sanity,
+    tdrb: impl Read + Send + 'static,
+    cfg: &AuditConfig,
+) -> Result<BatchReport, IngestError> {
+    let workers = cfg.resolved_workers();
+    let service = sanity
+        .audit_service()
+        .config(AuditConfig { workers, ..*cfg })
+        .build()
+        .expect("valid configuration");
+    let report = match service.submit(Sessions::tdrb(tdrb), None) {
+        Ok(ticket) => ticket.wait(),
+        Err(SubmitError::Ingest(e)) => Err(e),
+        Err(e) => panic!("{e}"),
+    };
+    service.shutdown();
+    report
+}
 
 /// One NFS service and a fleet of its recorded sessions; sessions whose id
 /// is in `covert` get two packets delayed by ~20% of the IPD.
@@ -64,8 +89,8 @@ fn streamed_and_materialized_summaries_are_byte_identical() {
     // every byte (mid-varint, mid-frame, mid-CRC); the larger sizes hit
     // frame-straddling and aligned cases.
     for read_buf in [1usize, 7, 4096] {
-        let report = sanity
-            .audit_stream(ChunkReader::new(&bytes[..], read_buf), &cfg)
+        let chunked = ChunkReader::new(Cursor::new(bytes.clone()), read_buf);
+        let report = audit_stream(&sanity, chunked, &cfg)
             .unwrap_or_else(|e| panic!("read buffer {read_buf}: {e}"));
         assert_eq!(
             report.verdicts, materialized.verdicts,
@@ -94,9 +119,8 @@ fn streaming_respects_high_water_mark_below_batch_size() {
             high_water,
             ..AuditConfig::default()
         };
-        let report = sanity
-            .audit_stream(&bytes[..], &cfg)
-            .expect("stream audits");
+        let report =
+            audit_stream(&sanity, Cursor::new(bytes.clone()), &cfg).expect("stream audits");
         assert_eq!(report.summary.sessions, jobs.len() as u64);
         assert!(
             report.peak_resident <= high_water,
@@ -115,27 +139,27 @@ fn verdicts_independent_of_worker_count_and_high_water() {
     let (sanity, jobs) = record_fleet(5, &[3]);
     let bytes = ingest::encode_batch(&jobs);
     let base = AuditConfig::default();
-    let reference = sanity
-        .audit_stream(
-            &bytes[..],
+    let reference = audit_stream(
+        &sanity,
+        Cursor::new(bytes.clone()),
+        &AuditConfig {
+            workers: 1,
+            high_water: 1,
+            ..base
+        },
+    )
+    .expect("serial stream");
+    for (workers, high_water) in [(2, 2), (4, 8), (3, 5)] {
+        let report = audit_stream(
+            &sanity,
+            Cursor::new(bytes.clone()),
             &AuditConfig {
-                workers: 1,
-                high_water: 1,
+                workers,
+                high_water,
                 ..base
             },
         )
-        .expect("serial stream");
-    for (workers, high_water) in [(2, 2), (4, 8), (3, 5)] {
-        let report = sanity
-            .audit_stream(
-                &bytes[..],
-                &AuditConfig {
-                    workers,
-                    high_water,
-                    ..base
-                },
-            )
-            .expect("stream audits");
+        .expect("stream audits");
         assert_eq!(
             report.verdicts, reference.verdicts,
             "workers {workers}, high_water {high_water}"
@@ -162,9 +186,12 @@ fn truncated_stream_reports_the_failing_session_index() {
     let (sanity, jobs) = record_fleet(3, &[]);
     let bytes = ingest::encode_batch(&jobs);
     let cut = bytes.len() - 5; // inside the last session's log frame
-    let err = sanity
-        .audit_stream(&bytes[..cut], &AuditConfig::default())
-        .expect_err("truncation must fail");
+    let err = audit_stream(
+        &sanity,
+        Cursor::new(bytes[..cut].to_vec()),
+        &AuditConfig::default(),
+    )
+    .expect_err("truncation must fail");
     assert_eq!(
         err,
         IngestError::BadSession {
@@ -180,8 +207,7 @@ fn corrupted_crc_reports_the_failing_session_index() {
     let mut bytes = ingest::encode_batch(&jobs);
     let mid = bytes.len() / 2; // inside some session's body
     bytes[mid] ^= 0x20;
-    let err = sanity
-        .audit_stream(&bytes[..], &AuditConfig::default())
+    let err = audit_stream(&sanity, Cursor::new(bytes), &AuditConfig::default())
         .expect_err("corruption must fail");
     match err {
         IngestError::BadSession { index, cause } => {
@@ -206,8 +232,7 @@ fn unknown_batch_version_rejected_before_any_decode() {
     let (sanity, jobs) = record_fleet(1, &[]);
     let mut bytes = ingest::encode_batch(&jobs);
     bytes[4] = 3; // version low byte
-    let err = sanity
-        .audit_stream(&bytes[..], &AuditConfig::default())
+    let err = audit_stream(&sanity, Cursor::new(bytes), &AuditConfig::default())
         .expect_err("future version must fail");
     assert_eq!(err, IngestError::UnsupportedVersion(3));
 }
@@ -216,15 +241,13 @@ fn unknown_batch_version_rejected_before_any_decode() {
 fn zero_session_batch_streams_to_an_empty_summary() {
     let (sanity, _) = record_fleet(1, &[]);
     let bytes = ingest::encode_batch(&[]);
-    let report = sanity
-        .audit_stream(&bytes[..], &AuditConfig::default())
+    let report = audit_stream(&sanity, Cursor::new(bytes.clone()), &AuditConfig::default())
         .expect("empty batch streams");
     assert!(report.verdicts.is_empty());
     assert_eq!(report.summary.sessions, 0);
     assert_eq!(report.peak_resident, 0);
     // ...and the streaming summary still equals the materialized one.
-    let materialized = audit_pipeline::audit_batch(
-        &sanity.as_reference(),
+    let materialized = sanity.audit_batch(
         &ingest::decode_batch(&bytes).expect("decodes"),
         &AuditConfig::default(),
     );
