@@ -3,7 +3,8 @@
 //! implementation that existed before the dispatch/tick-scheduler rework.
 //!
 //! Every fingerprint is exact — cycle counts, instruction counts, wall-ps,
-//! console output, per-packet IPDs, and the full verdict/summary structures
+//! console output, per-packet IPDs, the core model's cache/TLB/branch/bus
+//! counters, and the full verdict/summary structures
 //! (floats compared via their shortest-roundtrip `Debug` rendering, which
 //! is bit-faithful). Any change to opcode semantics, cost accounting, event
 //! ordering, RNG draw order, or detector arithmetic fails here first.
@@ -13,6 +14,7 @@
 //! the commit.
 
 use sanity_tdr::{AuditConfig, AuditJob, BatteryMode, DetectorBattery, Sanity};
+use sim_core::CoreStats;
 use vm::{DispatchMode, VmConfig};
 use workloads::corpus;
 
@@ -21,6 +23,16 @@ const GOLDEN_PATH: &str = concat!(
     "/../../tests/goldens/determinism.txt"
 );
 const SEPARATOR: &str = "\n=== program ";
+
+/// The timing model's microarchitectural counters: a host-side fast path
+/// in the caches, TLB or predictor that changed any hit, miss or
+/// mispredict would show here even if the cycle totals happened to agree.
+fn core_counters(c: &CoreStats) -> String {
+    format!(
+        "retired={} l1i={:?} l1d={:?} l2={:?} tlb={:?} branch={:?} bus={:?}",
+        c.retired, c.l1i, c.l1d, c.l2, c.tlb, c.branch, c.bus
+    )
+}
 
 /// One corpus program's exact behavioural fingerprint.
 fn fingerprint(k: u64) -> String {
@@ -57,9 +69,11 @@ fn fingerprint(k: u64) -> String {
         "record: exit={:?} icount={} cycles={} wall_ps={} gc={}\n\
          record console={:?}\n\
          record ipds={:?}\n\
+         record core: {}\n\
          replay: exit={:?} icount={} cycles={} wall_ps={}\n\
          replay console={:?}\n\
          replay ipds={:?}\n\
+         replay core: {}\n\
          verdicts={:?}\n\
          summary={:?}\n",
         rec.outcome.exit,
@@ -69,12 +83,14 @@ fn fingerprint(k: u64) -> String {
         rec.gc_runs,
         rec.outcome.console,
         rec.tx_ipds_cycles(),
+        core_counters(&rec.core),
         rep.outcome.exit,
         rep.outcome.icount,
         rep.outcome.cycles,
         rep.outcome.wall_ps,
         rep.outcome.console,
         rep.tx_ipds_cycles(),
+        core_counters(&rep.core),
         report.verdicts,
         report.summary,
     )
