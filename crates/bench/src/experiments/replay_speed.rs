@@ -11,8 +11,8 @@
 //!    configurations are **bit-identical by construction** — the fast
 //!    paths only skip host work, never simulated work — and this
 //!    experiment cross-checks that on every replay: any divergence in
-//!    cycles, wall_ps, console bytes, or TX IPDs aborts the run with a
-//!    nonzero exit.
+//!    cycles, wall_ps, console bytes, TX IPDs, or the core model's
+//!    cache/TLB/branch/bus counters aborts the run with a nonzero exit.
 //! 2. **Warm-service throughput** — the same audit batch is pushed
 //!    through a warm `AuditService` built over each configuration, and
 //!    the fleet summaries are asserted equal before reporting sessions/s.
@@ -45,35 +45,41 @@ fn classic(s: &Sanity) -> Sanity {
 }
 
 /// A replay outcome's determinism fingerprint: everything the audit
-/// pipeline's verdicts derive from.
+/// pipeline's verdicts derive from, plus the core model's counters, so a
+/// timing-model fast path that changed one hit or miss diverges here even
+/// where the cycle totals happen to agree.
 fn fingerprint(rec: &replay::Recorded) -> String {
     format!(
-        "{} {} {} {:?} {:?}",
+        "{} {} {} {:?} {:?} {:?}",
         rec.outcome.icount,
         rec.outcome.cycles,
         rec.outcome.wall_ps,
         rec.outcome.console,
-        rec.tx_ipds_cycles()
+        rec.tx_ipds_cycles(),
+        rec.core
     )
 }
 
 /// Replay `log` `iters` times under `s`, returning (mean ns per replay,
-/// fingerprint of the last replay).
-fn time_replays(s: &Sanity, log: &replay::EventLog, iters: usize) -> (f64, String) {
+/// guest instructions per replay, fingerprint of the last replay).
+fn time_replays(s: &Sanity, log: &replay::EventLog, iters: usize) -> (f64, u64, String) {
     // One untimed warm-up replay so allocator and cache state don't
     // charge the first timed iteration.
-    let mut fp = fingerprint(&s.replay(log, 2, |_| {}).expect("replay"));
+    let warm = s.replay(log, 2, |_| {}).expect("replay");
+    let icount = warm.outcome.icount;
+    let mut fp = fingerprint(&warm);
     let t = Instant::now();
     for _ in 0..iters {
         fp = fingerprint(&s.replay(log, 2, |_| {}).expect("replay"));
     }
-    (t.elapsed().as_nanos() as f64 / iters as f64, fp)
+    (t.elapsed().as_nanos() as f64 / iters as f64, icount, fp)
 }
 
 type Setup = Box<dyn Fn(&mut vm::Vm)>;
 
 struct WorkloadRow {
     name: &'static str,
+    icount: u64,
     classic_ns: f64,
     fast_ns: f64,
 }
@@ -112,8 +118,8 @@ pub fn run(opts: &Options) {
         let slow = classic(fast);
         let rec = fast.record(1, |vm| setup(vm)).expect("record");
 
-        let (classic_ns, classic_fp) = time_replays(&slow, &rec.log, iters);
-        let (fast_ns, fast_fp) = time_replays(fast, &rec.log, iters);
+        let (classic_ns, icount, classic_fp) = time_replays(&slow, &rec.log, iters);
+        let (fast_ns, _, fast_fp) = time_replays(fast, &rec.log, iters);
         // Determinism cross-check: the two configurations must produce
         // bit-identical replays (the fast paths skip host work only — the
         // record-vs-replay gap is TDR's separate noise floor, §6.4).
@@ -123,14 +129,19 @@ pub fn run(opts: &Options) {
             "{name}: classic and optimized replay diverged"
         );
 
+        let per_instr = |ns: f64| ns / icount as f64;
         println!(
-            "  {name:<20} classic {:>10.0} ns/replay   optimized {:>10.0} ns/replay   {:.2}x",
+            "  {name:<20} classic {:>10.0} ns/replay ({:>5.1} ns/instr)   \
+             optimized {:>10.0} ns/replay ({:>5.1} ns/instr)   {:.2}x",
             classic_ns,
+            per_instr(classic_ns),
             fast_ns,
+            per_instr(fast_ns),
             classic_ns / fast_ns
         );
         rows.push(WorkloadRow {
             name,
+            icount,
             classic_ns,
             fast_ns,
         });
@@ -181,12 +192,17 @@ pub fn run(opts: &Options) {
     for r in &rows {
         let _ = write!(
             json_rows,
-            "{}    {{\"workload\": \"{}\", \"classic_ns_per_replay\": {:.0}, \
-             \"optimized_ns_per_replay\": {:.0}, \"speedup\": {:.4}}}",
+            "{}    {{\"workload\": \"{}\", \"guest_instructions\": {}, \
+             \"classic_ns_per_replay\": {:.0}, \"optimized_ns_per_replay\": {:.0}, \
+             \"classic_ns_per_instr\": {:.2}, \"optimized_ns_per_instr\": {:.2}, \
+             \"speedup\": {:.4}}}",
             if json_rows.is_empty() { "" } else { ",\n" },
             r.name,
+            r.icount,
             r.classic_ns,
             r.fast_ns,
+            r.classic_ns / r.icount as f64,
+            r.fast_ns / r.icount as f64,
             r.classic_ns / r.fast_ns
         );
     }

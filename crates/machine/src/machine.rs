@@ -342,6 +342,7 @@ impl Machine {
         self.governor.elapsed_ps()
     }
 
+    #[inline]
     fn sync(&mut self) {
         let now = self.core.now();
         if now > self.synced {
@@ -357,6 +358,7 @@ impl Machine {
     /// `refs` are `(vaddr, is_write)` pairs (at most 4); `branch` is
     /// `(taken, target_vaddr)`. The machine translates addresses, charges
     /// the core model, applies due noise events, and advances the governor.
+    #[inline]
     pub fn step_instr(
         &mut self,
         base: Cycles,
@@ -392,17 +394,23 @@ impl Machine {
         self.post_step();
     }
 
+    #[inline]
     fn post_step(&mut self) {
         // Discrete-event gate: skip the whole housekeeping block unless a
-        // component is actually due. The governor sync below stays
-        // UNCONDITIONAL — non-Fixed governors advance in chunks whose
-        // float truncation depends on call granularity, so wall-clock time
-        // is only reproducible if `sync` runs on exactly the same schedule
-        // in every configuration.
+        // component is actually due.
         if !self.cfg.event_ticking || self.tickq.any_due(self.core.now()) {
             self.run_housekeeping();
         }
-        self.sync();
+        // A linear governor (`Fixed` with a whole-ps period) gives
+        // `cycles × period` however the cycles are chunked, and every reader
+        // of wall time (`mark`, `now_ps`, `send_packet`) syncs first, so the
+        // per-instruction sync is skipped. Every other governor truncates
+        // per chunk: wall time is only reproducible if `sync` runs on
+        // exactly the same schedule in every configuration, so it stays
+        // unconditional there.
+        if !self.governor.is_linear() {
+            self.sync();
+        }
     }
 
     /// One pass over the housekeeping components, in canonical order —
@@ -796,49 +804,128 @@ mod tests {
         assert!(m.log_dma_bytes() > 0, "SC flushed the log");
     }
 
+    /// A mix of every machine entry point that moves time or reads it.
+    fn eventful_run(m: &mut Machine) {
+        m.start_run();
+        let base = m.now_cycles();
+        for k in 0..40u64 {
+            m.deliver_packet(base + k * 90_000, vec![k as u8; 128]);
+        }
+        for k in 0..8_000u64 {
+            m.step_instr(
+                10,
+                0x1_0000 + (k % 64) * 4,
+                &[(map::HEAP + k * 8, k % 3 == 0)],
+                None,
+            );
+            if k % 500 == 0 {
+                m.event_value(k);
+            }
+            if k % 200 == 0 {
+                m.poll_packet(k);
+            }
+            if k % 700 == 0 {
+                m.idle(30_000);
+            }
+            if k % 900 == 0 {
+                m.send_packet(&[k as u8; 64]);
+            }
+        }
+    }
+
     #[test]
     fn event_ticking_is_bit_identical_to_scanning() {
         // The tick queue must never change simulated time — only skip
         // no-op housekeeping scans. Run an eventful mix (instructions,
-        // idles, packets, event values) in a noisy environment under both
-        // modes and require identical clocks, wall time, and event counts.
-        let run = |event_ticking: bool, env: Environment| {
+        // idles, packets, event values) in a noisy environment and under
+        // non-linear governors, in both modes, and require identical
+        // clocks, wall time, event counts and timelines.
+        let run = |event_ticking: bool, env: Environment, freq: Option<sim_core::FreqPolicy>| {
             let mut cfg = MachineConfig::sanity();
             cfg.env = env;
             cfg.tc_sc_split = false; // Exercise the TC-IRQ component too.
             cfg.event_ticking = event_ticking;
+            cfg.freq_policy_override = freq;
             let mut m = Machine::new(cfg, Seeds::from_run(42));
+            eventful_run(&mut m);
+            let (p, i, d) = m.noise.stats();
+            (
+                (m.now_cycles(), m.now_ps(), m.log_dma_bytes(), p, i, d),
+                m.take_marks(),
+                m.take_tx(),
+            )
+        };
+        let on_demand = sim_core::FreqPolicy::OnDemand { min_ratio: 0.5 };
+        let turbo = sim_core::FreqPolicy::Turbo {
+            boost_ratio: 1.3,
+            budget_cycles: 400_000,
+        };
+        for (env, freq) in [
+            (Environment::Sanity, None),
+            (Environment::UserNoisy, None),
+            (Environment::Sanity, Some(on_demand)),
+            (Environment::Sanity, Some(turbo)),
+        ] {
+            assert_eq!(
+                run(true, env, freq),
+                run(false, env, freq),
+                "tick modes diverged under {env:?} / {freq:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn sanity_wall_time_is_cycles_times_period() {
+        // The Sanity governor is linear (Fixed at 100 MHz, 10_000 ps per
+        // cycle), so `post_step` skips the per-instruction sync; every
+        // reader must still see exactly `cycle × 10_000`.
+        let mut m = sanity_machine(11);
+        eventful_run(&mut m);
+        let marks = m.take_marks();
+        let tx = m.take_tx();
+        assert!(marks.len() > 20 && tx.len() > 5, "the mix produced events");
+        for mark in &marks {
+            assert_eq!(mark.wall_ps, mark.cycle as u128 * 10_000, "{mark:?}");
+        }
+        // A TX record's cycle already includes the SC's forwarding latency,
+        // and its wall time the same offset at the nominal period.
+        for t in &tx {
+            assert_eq!(t.wall_ps, t.cycle as u128 * 10_000, "tx at {}", t.cycle);
+        }
+        assert_eq!(m.now_ps(), m.now_cycles() as u128 * 10_000);
+    }
+
+    #[test]
+    fn non_linear_governors_sync_after_every_instruction() {
+        // OnDemand and Turbo truncate per `advance` call, so wall time
+        // depends on the call schedule: it must be one call per post-step,
+        // as a shadow governor fed the same per-instruction deltas shows.
+        for policy in [
+            sim_core::FreqPolicy::OnDemand { min_ratio: 0.5 },
+            sim_core::FreqPolicy::Turbo {
+                boost_ratio: 1.3,
+                budget_cycles: 40_000,
+            },
+        ] {
+            let mut cfg = MachineConfig::sanity();
+            cfg.freq_policy_override = Some(policy);
+            let seeds = Seeds::from_run(12);
+            let mut m = Machine::new(cfg, seeds);
             m.start_run();
-            let base = m.now_cycles();
-            for k in 0..40u64 {
-                m.deliver_packet(base + k * 90_000, vec![k as u8; 128]);
-            }
-            for k in 0..8_000u64 {
+            let mut shadow = FrequencyGovernor::new(cfg.nominal_hz, policy, seeds.freq);
+            let mut prev = m.now_cycles();
+            shadow.advance(prev);
+            for k in 0..20_000u64 {
                 m.step_instr(
-                    10,
-                    0x1_0000 + (k % 64) * 4,
-                    &[(map::HEAP + k * 8, k % 3 == 0)],
+                    7,
+                    0x1_0000 + (k % 32) * 4,
+                    &[(map::HEAP + k * 4, false)],
                     None,
                 );
-                if k % 500 == 0 {
-                    m.event_value(k);
-                }
-                if k % 200 == 0 {
-                    m.poll_packet(k);
-                }
-                if k % 700 == 0 {
-                    m.idle(30_000);
-                }
+                shadow.advance(m.now_cycles() - prev);
+                prev = m.now_cycles();
             }
-            let (p, i, d) = m.noise.stats();
-            (m.now_cycles(), m.now_ps(), m.log_dma_bytes(), p, i, d)
-        };
-        for env in [Environment::Sanity, Environment::UserNoisy] {
-            assert_eq!(
-                run(true, env),
-                run(false, env),
-                "tick modes diverged under {env:?}"
-            );
+            assert_eq!(m.now_ps(), shadow.elapsed_ps(), "{policy:?}");
         }
     }
 

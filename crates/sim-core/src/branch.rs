@@ -29,7 +29,7 @@ impl BtbParams {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct BtbEntry {
     tag: u64,
     target: u64,
@@ -39,9 +39,11 @@ struct BtbEntry {
 }
 
 /// A direct-mapped BTB + 2-bit bimodal predictor.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BranchPredictor {
     params: BtbParams,
+    /// `entries - 1`: a branch's entry is `(pc >> 2) & index_mask`.
+    index_mask: u64,
     entries: Vec<BtbEntry>,
     lookups: u64,
     mispredicts: u64,
@@ -56,6 +58,7 @@ impl BranchPredictor {
         );
         BranchPredictor {
             params,
+            index_mask: params.entries as u64 - 1,
             entries: vec![
                 BtbEntry {
                     tag: 0,
@@ -71,7 +74,7 @@ impl BranchPredictor {
     }
 
     fn index(&self, pc: PAddr) -> usize {
-        ((pc >> 2) % self.params.entries as u64) as usize
+        ((pc >> 2) & self.index_mask) as usize
     }
 
     /// Resolve the branch at `pc`: predict, compare against the actual

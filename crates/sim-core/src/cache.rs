@@ -70,7 +70,7 @@ pub struct CacheAccess {
     pub writeback: bool,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Line {
     tag: u64,
     valid: bool,
@@ -93,10 +93,22 @@ const INVALID_LINE: Line = Line {
 /// ("if the instruction stream is exactly the same and the caches have a
 /// deterministic replacement policy … this is almost sufficient to
 /// reproduce the evolution of cache states", §3.6).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Cache {
     params: CacheParams,
     lines: Vec<Line>,
+    /// `log2(line)`: an address's line number is `addr >> line_shift`.
+    line_shift: u32,
+    /// `log2(sets)`: a line number's tag is `line >> set_shift`.
+    set_shift: u32,
+    /// `sets - 1`: a line number's set is `line & set_mask`.
+    set_mask: u64,
+    /// `(line number, slot in lines)` of the most recent hit or fill.
+    /// Every access either hits or fills, so a memo match means the
+    /// previous access touched the same line and nothing has moved it
+    /// since: the way scan would stop at exactly this slot. `flush` and
+    /// `pollute` rewrite slots behind the memo's back and clear it.
+    mru: Option<(u64, usize)>,
     clock: u64,
     hits: u64,
     misses: u64,
@@ -117,6 +129,10 @@ impl Cache {
         Cache {
             params,
             lines: vec![INVALID_LINE; (params.sets * params.ways) as usize],
+            line_shift: params.line.trailing_zeros(),
+            set_shift: params.sets.trailing_zeros(),
+            set_mask: params.sets as u64 - 1,
+            mru: None,
             clock: 0,
             hits: 0,
             misses: 0,
@@ -129,26 +145,21 @@ impl Cache {
         &self.params
     }
 
-    fn set_index(&self, addr: PAddr) -> usize {
-        ((addr / self.params.line as u64) % self.params.sets as u64) as usize
-    }
-
-    fn tag(&self, addr: PAddr) -> u64 {
-        addr / self.params.line as u64 / self.params.sets as u64
+    /// `(first slot of the set, tag)` of the line containing `addr`.
+    fn locate(&self, addr: PAddr) -> (usize, u64) {
+        let line = addr >> self.line_shift;
+        let set = (line & self.set_mask) as usize;
+        (set * self.params.ways as usize, line >> self.set_shift)
     }
 
     /// Access `addr`; returns hit/writeback status. A write marks the line
     /// dirty (write-allocate on miss).
     pub fn access(&mut self, addr: PAddr, write: bool) -> CacheAccess {
         self.clock += 1;
-        let set = self.set_index(addr);
-        let tag = self.tag(addr);
-        let base = set * self.params.ways as usize;
-        let ways = &mut self.lines[base..base + self.params.ways as usize];
-
-        // Hit path.
-        for l in ways.iter_mut() {
-            if l.valid && l.tag == tag {
+        let line = addr >> self.line_shift;
+        if let Some((mru_line, slot)) = self.mru {
+            if mru_line == line {
+                let l = &mut self.lines[slot];
                 l.lru = self.clock;
                 l.dirty |= write;
                 self.hits += 1;
@@ -158,11 +169,28 @@ impl Cache {
                 };
             }
         }
+        let (base, tag) = self.locate(addr);
+        let ways = &mut self.lines[base..base + self.params.ways as usize];
+
+        // Hit path.
+        for (way, l) in ways.iter_mut().enumerate() {
+            if l.valid && l.tag == tag {
+                l.lru = self.clock;
+                l.dirty |= write;
+                self.hits += 1;
+                self.mru = Some((line, base + way));
+                return CacheAccess {
+                    hit: true,
+                    writeback: false,
+                };
+            }
+        }
         // Miss: fill into the invalid or least-recently-used way.
         self.misses += 1;
-        let victim = ways
+        let (way, victim) = ways
             .iter_mut()
-            .min_by_key(|l| if l.valid { l.lru + 1 } else { 0 })
+            .enumerate()
+            .min_by_key(|(_, l)| if l.valid { l.lru + 1 } else { 0 })
             .expect("ways is non-empty");
         let writeback = victim.valid && victim.dirty;
         if writeback {
@@ -174,6 +202,7 @@ impl Cache {
             dirty: write,
             lru: self.clock,
         };
+        self.mru = Some((line, base + way));
         CacheAccess {
             hit: false,
             writeback,
@@ -182,9 +211,7 @@ impl Cache {
 
     /// True if the line containing `addr` is resident (no state change).
     pub fn probe(&self, addr: PAddr) -> bool {
-        let set = self.set_index(addr);
-        let tag = self.tag(addr);
-        let base = set * self.params.ways as usize;
+        let (base, tag) = self.locate(addr);
         self.lines[base..base + self.params.ways as usize]
             .iter()
             .any(|l| l.valid && l.tag == tag)
@@ -197,6 +224,7 @@ impl Cache {
         for l in self.lines.iter_mut() {
             *l = INVALID_LINE;
         }
+        self.mru = None;
         dirty
     }
 
@@ -205,6 +233,7 @@ impl Cache {
     ///
     /// The pollution pattern is a deterministic function of `salt`.
     pub fn pollute(&mut self, fraction: f64, salt: u64) {
+        self.mru = None;
         let n = self.lines.len();
         let count = ((n as f64) * fraction.clamp(0.0, 1.0)) as usize;
         for k in 0..count {
@@ -260,9 +289,11 @@ impl TlbParams {
 ///
 /// Tracks virtual page numbers; the walk cost is charged on miss. `flush`
 /// models the paper's `CR4.PCIDE` toggle that drops global entries too.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Tlb {
     params: TlbParams,
+    /// `log2(page)`: an address's page number is `vaddr >> page_shift`.
+    page_shift: u32,
     entries: Vec<(u64, u64)>, // (vpn, lru)
     clock: u64,
     hits: u64,
@@ -270,8 +301,12 @@ pub struct Tlb {
     /// `(vpn, slot)` sorted by vpn — a binary-searchable view over
     /// `entries` so the hot hit path avoids the linear scan. Pure host-side
     /// acceleration: hit/miss/LRU outcomes are decided by `entries` alone.
-    /// Rebuilt lazily if absent (it is derivable state).
     index: Vec<(u64, u32)>,
+    /// The two most recently touched `(vpn, slot)` pairs, most recent
+    /// first — in the core model, the fetch page and the data page. A pair
+    /// is trusted only while `entries[slot]` still holds `vpn`; entries
+    /// hold distinct vpns, so that slot is the one the index would find.
+    memo: [(u64, u32); 2],
 }
 
 impl Tlb {
@@ -280,11 +315,14 @@ impl Tlb {
         assert!(params.page.is_power_of_two(), "page must be a power of two");
         Tlb {
             params,
+            page_shift: params.page.trailing_zeros(),
             entries: Vec::with_capacity(params.entries as usize),
             clock: 0,
             hits: 0,
             misses: 0,
             index: Vec::with_capacity(params.entries as usize),
+            // Slot u32::MAX is never populated, so these never match.
+            memo: [(0, u32::MAX); 2],
         }
     }
 
@@ -293,25 +331,37 @@ impl Tlb {
         &self.params
     }
 
+    /// Whether memo pair `m` names a resident page `vpn`.
+    fn memo_holds(&self, m: usize, vpn: u64) -> bool {
+        let (p, slot) = self.memo[m];
+        p == vpn
+            && self
+                .entries
+                .get(slot as usize)
+                .is_some_and(|&(e, _)| e == vpn)
+    }
+
     /// Touch the page containing virtual address `vaddr`; returns the cycle
     /// cost (0 on hit, `miss_cycles` on miss).
     pub fn access(&mut self, vaddr: u64) -> Cycles {
-        if self.index.len() != self.entries.len() {
-            // Deserialized (or otherwise derived-state-less): rebuild.
-            self.index = self
-                .entries
-                .iter()
-                .enumerate()
-                .map(|(s, &(vpn, _))| (vpn, s as u32))
-                .collect();
-            self.index.sort_unstable();
-        }
         self.clock += 1;
-        let vpn = vaddr / self.params.page as u64;
-        if let Ok(i) = self.index.binary_search_by_key(&vpn, |&(p, _)| p) {
-            let slot = self.index[i].1 as usize;
-            self.entries[slot].1 = self.clock;
+        let vpn = vaddr >> self.page_shift;
+        if self.memo_holds(0, vpn) {
+            self.entries[self.memo[0].1 as usize].1 = self.clock;
             self.hits += 1;
+            return 0;
+        }
+        if self.memo_holds(1, vpn) {
+            self.memo.swap(0, 1);
+            self.entries[self.memo[0].1 as usize].1 = self.clock;
+            self.hits += 1;
+            return 0;
+        }
+        if let Ok(i) = self.index.binary_search_by_key(&vpn, |&(p, _)| p) {
+            let slot = self.index[i].1;
+            self.entries[slot as usize].1 = self.clock;
+            self.hits += 1;
+            self.remember(vpn, slot);
             return 0;
         }
         self.misses += 1;
@@ -320,6 +370,7 @@ impl Tlb {
             self.entries.push((vpn, self.clock));
             let at = self.index.partition_point(|&(p, _)| p < vpn);
             self.index.insert(at, (vpn, slot));
+            self.remember(vpn, slot);
         } else if let Some((slot, victim)) = self
             .entries
             .iter_mut()
@@ -335,8 +386,15 @@ impl Tlb {
             self.index.remove(gone);
             let at = self.index.partition_point(|&(p, _)| p < vpn);
             self.index.insert(at, (vpn, slot as u32));
+            self.remember(vpn, slot as u32);
         }
         self.params.miss_cycles
+    }
+
+    /// Make `(vpn, slot)` the most recent memo pair.
+    fn remember(&mut self, vpn: u64, slot: u32) {
+        self.memo[1] = self.memo[0];
+        self.memo[0] = (vpn, slot);
     }
 
     /// Drop every entry.

@@ -116,6 +116,15 @@ impl FrequencyGovernor {
         self.policy
     }
 
+    /// True when elapsed picoseconds are exactly `cycles × period` however
+    /// the cycles are split across `advance` calls: the `Fixed` policy at a
+    /// frequency whose period is a whole number of picoseconds. Other
+    /// governors truncate per chunk, so their result depends on the calls.
+    #[inline]
+    pub fn is_linear(&self) -> bool {
+        self.fixed_period_ps.is_some()
+    }
+
     /// Advance by `cycles`, returning the picoseconds they took.
     pub fn advance(&mut self, mut cycles: Cycles) -> u128 {
         // Fixed-frequency fast path: pure integer math, no chunking. The

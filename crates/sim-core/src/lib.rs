@@ -34,6 +34,8 @@ pub mod cache;
 pub mod core;
 pub mod dram;
 pub mod freq;
+#[cfg(test)]
+mod oracle;
 
 pub use crate::core::{
     AccessKind, CoreModel, CoreParams, CoreStats, CostModel, InstrTiming, MemRef,
