@@ -145,9 +145,8 @@ impl Cache {
         &self.params
     }
 
-    /// `(first slot of the set, tag)` of the line containing `addr`.
-    fn locate(&self, addr: PAddr) -> (usize, u64) {
-        let line = addr >> self.line_shift;
+    /// `(first slot of the set, tag)` of line number `line`.
+    fn locate(&self, line: u64) -> (usize, u64) {
         let set = (line & self.set_mask) as usize;
         (set * self.params.ways as usize, line >> self.set_shift)
     }
@@ -169,7 +168,7 @@ impl Cache {
                 };
             }
         }
-        let (base, tag) = self.locate(addr);
+        let (base, tag) = self.locate(line);
         let ways = &mut self.lines[base..base + self.params.ways as usize];
 
         // Hit path.
@@ -211,7 +210,7 @@ impl Cache {
 
     /// True if the line containing `addr` is resident (no state change).
     pub fn probe(&self, addr: PAddr) -> bool {
-        let (base, tag) = self.locate(addr);
+        let (base, tag) = self.locate(addr >> self.line_shift);
         self.lines[base..base + self.params.ways as usize]
             .iter()
             .any(|l| l.valid && l.tag == tag)
@@ -346,16 +345,13 @@ impl Tlb {
     pub fn access(&mut self, vaddr: u64) -> Cycles {
         self.clock += 1;
         let vpn = vaddr >> self.page_shift;
-        if self.memo_holds(0, vpn) {
-            self.entries[self.memo[0].1 as usize].1 = self.clock;
-            self.hits += 1;
-            return 0;
-        }
-        if self.memo_holds(1, vpn) {
-            self.memo.swap(0, 1);
-            self.entries[self.memo[0].1 as usize].1 = self.clock;
-            self.hits += 1;
-            return 0;
+        for m in 0..2 {
+            if self.memo_holds(m, vpn) {
+                self.memo.swap(0, m);
+                self.entries[self.memo[0].1 as usize].1 = self.clock;
+                self.hits += 1;
+                return 0;
+            }
         }
         if let Ok(i) = self.index.binary_search_by_key(&vpn, |&(p, _)| p) {
             let slot = self.index[i].1;
