@@ -1,33 +1,17 @@
-//! Criterion bench for the replay hot paths this optimization pass added:
-//! fused vs classic opcode dispatch, event-ticking vs scan-everything
-//! housekeeping, and prepared (batched) vs standalone detector scoring.
+//! Criterion bench for the replay hot paths: a dispatch-bound and a
+//! housekeeping-bound replay, and prepared (batched) vs standalone
+//! detector scoring.
 //!
-//! Every pairing replays the *same recorded log* or scores the *same
-//! traces* — the fast paths are bit-identical to the classic ones, so the
-//! only thing that may differ is the wall clock.
+//! Each replay bench replays the *same recorded log* every iteration; the
+//! scoring pair scores the *same traces*, so the two differ only in wall
+//! clock.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use machine::MachineConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sanity_tdr::detectors::{DetectorBattery, TraceView};
 use sanity_tdr::Sanity;
-use vm::{DispatchMode, VmConfig};
 use workloads::{nfs, scimark::Kernel};
-
-fn with_dispatch(s: &Sanity, dispatch: DispatchMode) -> Sanity {
-    s.clone().with_vm_config(VmConfig {
-        dispatch,
-        ..VmConfig::default()
-    })
-}
-
-fn with_ticking(s: &Sanity, event_ticking: bool) -> Sanity {
-    s.clone().with_machine_config(MachineConfig {
-        event_ticking,
-        ..*s.machine_config()
-    })
-}
 
 /// Lognormal-ish IPD trace, same generator the detector tests use.
 fn trace(seed: u64, n: usize) -> Vec<u64> {
@@ -52,26 +36,21 @@ fn bench_dispatch(c: &mut Criterion) {
     let rec = sanity.record(1, |_| {}).expect("record");
     let mut group = c.benchmark_group("dispatch");
     group.sample_size(20);
-    for (label, mode) in [
-        ("classic", DispatchMode::Classic),
-        ("fused", DispatchMode::Fused),
-    ] {
-        let s = with_dispatch(&sanity, mode);
-        group.bench_function(format!("replay_fft/{label}"), |b| {
-            b.iter(|| {
-                s.replay(&rec.log, 2, |_| {})
-                    .expect("replay")
-                    .outcome
-                    .cycles
-            })
-        });
-    }
+    group.bench_function("replay_fft", |b| {
+        b.iter(|| {
+            sanity
+                .replay(&rec.log, 2, |_| {})
+                .expect("replay")
+                .outcome
+                .cycles
+        })
+    });
     group.finish();
 }
 
 fn bench_tick_loop(c: &mut Criterion) {
-    // I/O-bound NFS session: housekeeping runs after every step, so the
-    // discrete-event gate is what this pairing isolates.
+    // I/O-bound NFS session: packet delivery and the housekeeping tick
+    // queue weigh more here than in the compute-bound kernel.
     let files = nfs::make_files(4, 1500, 4000, 5);
     let sanity = Sanity::new(nfs::server_program(8)).with_files(files.clone());
     let sched = nfs::client_schedule(&files, 200_000, 700_000, 4);
@@ -84,17 +63,15 @@ fn bench_tick_loop(c: &mut Criterion) {
         .expect("record");
     let mut group = c.benchmark_group("tick_loop");
     group.sample_size(20);
-    for (label, ticking) in [("scan_all", false), ("event_queue", true)] {
-        let s = with_ticking(&sanity, ticking);
-        group.bench_function(format!("replay_nfs/{label}"), |b| {
-            b.iter(|| {
-                s.replay(&rec.log, 2, |_| {})
-                    .expect("replay")
-                    .outcome
-                    .cycles
-            })
-        });
-    }
+    group.bench_function("replay_nfs", |b| {
+        b.iter(|| {
+            sanity
+                .replay(&rec.log, 2, |_| {})
+                .expect("replay")
+                .outcome
+                .cycles
+        })
+    });
     group.finish();
 }
 

@@ -1,52 +1,33 @@
-//! Replay speed: the interpreter/scheduler fast paths vs the classic
-//! configuration, measured end to end.
+//! Replay speed: host time per replay and per guest instruction, measured
+//! end to end.
 //!
 //! Two measurements, both over the *same recorded logs*:
 //!
 //! 1. **Single-session replay** — a compute-bound SciMark kernel and an
 //!    I/O-bound NFS session are each recorded once, then replayed many
-//!    times under the classic configuration (per-opcode `match` dispatch,
-//!    scan-every-component housekeeping) and under the optimized one
-//!    (fused dispatch + discrete-event tick queue, the defaults). The two
-//!    configurations are **bit-identical by construction** — the fast
-//!    paths only skip host work, never simulated work — and this
-//!    experiment cross-checks that on every replay: any divergence in
-//!    cycles, wall_ps, console bytes, TX IPDs, or the core model's
+//!    times. Replay is deterministic, so every timed replay must reproduce
+//!    the untimed warm-up replay exactly: any divergence in cycles,
+//!    wall_ps, console bytes, TX IPDs, or the core model's
 //!    cache/TLB/branch/bus counters aborts the run with a nonzero exit.
-//! 2. **Warm-service throughput** — the same audit batch is pushed
-//!    through a warm `AuditService` built over each configuration, and
-//!    the fleet summaries are asserted equal before reporting sessions/s.
+//! 2. **Warm-service throughput** — an audit batch is pushed through a
+//!    warm 4-worker `AuditService` as TDRB bytes, and its fleet summary
+//!    must equal an in-process `Sanity::audit_batch` of the same jobs
+//!    before sessions/s is reported.
 //!
 //! Results land in `BENCH_replay_speed.json`.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use machine::MachineConfig;
 use sanity_tdr::audit_pipeline::ingest;
-use sanity_tdr::{AuditJob, Sanity, Sessions};
-use vm::{DispatchMode, VmConfig};
+use sanity_tdr::{AuditConfig, AuditJob, Sanity, Sessions};
 use workloads::{nfs, scimark::Kernel};
 
 use super::Options;
 
-/// The classic (pre-optimization) configuration: per-opcode `match`
-/// dispatch and scan-everything housekeeping.
-fn classic(s: &Sanity) -> Sanity {
-    s.clone()
-        .with_vm_config(VmConfig {
-            dispatch: DispatchMode::Classic,
-            ..VmConfig::default()
-        })
-        .with_machine_config(MachineConfig {
-            event_ticking: false,
-            ..*s.machine_config()
-        })
-}
-
 /// A replay outcome's determinism fingerprint: everything the audit
 /// pipeline's verdicts derive from, plus the core model's counters, so a
-/// timing-model fast path that changed one hit or miss diverges here even
+/// timing-model change that moved one hit or miss diverges here even
 /// where the cycle totals happen to agree.
 fn fingerprint(rec: &replay::Recorded) -> String {
     format!(
@@ -61,32 +42,31 @@ fn fingerprint(rec: &replay::Recorded) -> String {
 }
 
 /// Replay `log` `iters` times under `s`, returning (mean ns per replay,
-/// guest instructions per replay, fingerprint of the last replay).
-fn time_replays(s: &Sanity, log: &replay::EventLog, iters: usize) -> (f64, u64, String) {
+/// guest instructions per replay). Panics if any timed replay's
+/// fingerprint differs from the warm-up replay's.
+fn time_replays(name: &str, s: &Sanity, log: &replay::EventLog, iters: usize) -> (f64, u64) {
     // One untimed warm-up replay so allocator and cache state don't
-    // charge the first timed iteration.
+    // charge the first timed iteration; it is also the reference every
+    // timed replay must reproduce.
     let warm = s.replay(log, 2, |_| {}).expect("replay");
-    let icount = warm.outcome.icount;
-    let mut fp = fingerprint(&warm);
+    let expected = fingerprint(&warm);
     let t = Instant::now();
-    for _ in 0..iters {
-        fp = fingerprint(&s.replay(log, 2, |_| {}).expect("replay"));
+    for k in 0..iters {
+        let fp = fingerprint(&s.replay(log, 2, |_| {}).expect("replay"));
+        // assert! exits nonzero on mismatch, which is what CI keys on.
+        assert_eq!(fp, expected, "{name}: timed replay {k} diverged");
     }
-    (t.elapsed().as_nanos() as f64 / iters as f64, icount, fp)
+    (
+        t.elapsed().as_nanos() as f64 / iters as f64,
+        warm.outcome.icount,
+    )
 }
 
 type Setup = Box<dyn Fn(&mut vm::Vm)>;
 
-struct WorkloadRow {
-    name: &'static str,
-    icount: u64,
-    classic_ns: f64,
-    fast_ns: f64,
-}
-
-/// Run the replay-speed comparison and write `BENCH_replay_speed.json`.
+/// Run the replay-speed measurement and write `BENCH_replay_speed.json`.
 pub fn run(opts: &Options) {
-    println!("== replay speed: classic vs fused dispatch + event ticking ==\n");
+    println!("== replay speed ==\n");
     let iters = opts.runs_or(10, 40);
 
     let workloads: Vec<(&'static str, Sanity, Setup)> = vec![
@@ -113,47 +93,26 @@ pub fn run(opts: &Options) {
         ),
     ];
 
-    let mut rows: Vec<WorkloadRow> = Vec::new();
-    for (name, fast, setup) in &workloads {
-        let slow = classic(fast);
-        let rec = fast.record(1, |vm| setup(vm)).expect("record");
-
-        let (classic_ns, icount, classic_fp) = time_replays(&slow, &rec.log, iters);
-        let (fast_ns, _, fast_fp) = time_replays(fast, &rec.log, iters);
-        // Determinism cross-check: the two configurations must produce
-        // bit-identical replays (the fast paths skip host work only — the
-        // record-vs-replay gap is TDR's separate noise floor, §6.4).
-        // assert! exits nonzero on mismatch, which is what CI keys on.
-        assert_eq!(
-            classic_fp, fast_fp,
-            "{name}: classic and optimized replay diverged"
+    let mut json_rows = String::new();
+    for (name, s, setup) in &workloads {
+        let rec = s.record(1, |vm| setup(vm)).expect("record");
+        let (ns, icount) = time_replays(name, s, &rec.log, iters);
+        let per_instr = ns / icount as f64;
+        println!("  {name:<20} {ns:>10.0} ns/replay ({per_instr:>5.1} ns/instr)");
+        let _ = write!(
+            json_rows,
+            "{}    {{\"workload\": \"{name}\", \"guest_instructions\": {icount}, \
+             \"ns_per_replay\": {ns:.0}, \"ns_per_instr\": {per_instr:.2}}}",
+            if json_rows.is_empty() { "" } else { ",\n" },
         );
-
-        let per_instr = |ns: f64| ns / icount as f64;
-        println!(
-            "  {name:<20} classic {:>10.0} ns/replay ({:>5.1} ns/instr)   \
-             optimized {:>10.0} ns/replay ({:>5.1} ns/instr)   {:.2}x",
-            classic_ns,
-            per_instr(classic_ns),
-            fast_ns,
-            per_instr(fast_ns),
-            classic_ns / fast_ns
-        );
-        rows.push(WorkloadRow {
-            name,
-            icount,
-            classic_ns,
-            fast_ns,
-        });
     }
 
-    // Warm-service throughput over the same batch, both configurations.
+    // Warm-service throughput, checked against an in-process audit.
     let sessions = opts.runs_or(12, 48) as u64;
-    let fast = Sanity::new(Kernel::Mc.program_small());
-    let slow = classic(&fast);
+    let s = Sanity::new(Kernel::Mc.program_small());
     let jobs: Vec<AuditJob> = (0..sessions)
         .map(|id| {
-            let rec = fast.record(1_000 + id, |_| {}).expect("record");
+            let rec = s.record(1_000 + id, |_| {}).expect("record");
             AuditJob {
                 session_id: id,
                 observed_ipds: rec.tx_ipds_cycles(),
@@ -162,57 +121,40 @@ pub fn run(opts: &Options) {
         })
         .collect();
     let tdrb = ingest::encode_batch(&jobs);
-
-    let mut service_rows: Vec<(&'static str, f64, String)> = Vec::new();
-    for (label, s) in [("classic", &slow), ("optimized", &fast)] {
-        let service = s
-            .audit_service()
-            .workers(4)
-            .build()
-            .expect("valid service configuration");
-        let t = Instant::now();
-        let report = service
-            .submit(Sessions::tdrb(std::io::Cursor::new(tdrb.clone())), None)
-            .expect("submit")
-            .wait()
-            .expect("batch audits");
-        let secs = t.elapsed().as_secs_f64();
-        service.shutdown();
-        let throughput = sessions as f64 / secs;
-        println!("  warm service ({label}): {throughput:.0} sessions/s");
-        service_rows.push((label, throughput, format!("{:?}", report.summary)));
-    }
-    assert_eq!(
-        service_rows[0].2, service_rows[1].2,
-        "warm-service summaries diverged between configurations"
+    let service = s
+        .audit_service()
+        .workers(4)
+        .build()
+        .expect("valid service configuration");
+    let t = Instant::now();
+    let report = service
+        .submit(Sessions::tdrb(std::io::Cursor::new(tdrb)), None)
+        .expect("submit")
+        .wait()
+        .expect("batch audits");
+    let secs = t.elapsed().as_secs_f64();
+    service.shutdown();
+    let throughput = sessions as f64 / secs;
+    println!("  warm service (4 workers): {throughput:.0} sessions/s");
+    let in_process = s.audit_batch(
+        &jobs,
+        &AuditConfig {
+            workers: 1,
+            ..AuditConfig::default()
+        },
     );
-    println!("\n(all replays and summaries bit-identical across configurations)");
+    assert_eq!(
+        format!("{:?}", report.summary),
+        format!("{:?}", in_process.summary),
+        "warm-service summary diverged from the in-process audit"
+    );
+    println!("\n(every timed replay reproduced its warm-up; service summary matches in-process)");
 
-    let mut json_rows = String::new();
-    for r in &rows {
-        let _ = write!(
-            json_rows,
-            "{}    {{\"workload\": \"{}\", \"guest_instructions\": {}, \
-             \"classic_ns_per_replay\": {:.0}, \"optimized_ns_per_replay\": {:.0}, \
-             \"classic_ns_per_instr\": {:.2}, \"optimized_ns_per_instr\": {:.2}, \
-             \"speedup\": {:.4}}}",
-            if json_rows.is_empty() { "" } else { ",\n" },
-            r.name,
-            r.icount,
-            r.classic_ns,
-            r.fast_ns,
-            r.classic_ns / r.icount as f64,
-            r.fast_ns / r.icount as f64,
-            r.classic_ns / r.fast_ns
-        );
-    }
     let json = format!(
         "{{\n  \"replays_per_cell\": {iters},\n  \"workloads\": [\n{json_rows}\n  ],\n  \
          \"warm_service_sessions\": {sessions},\n  \
-         \"warm_service_classic_sessions_per_sec\": {:.2},\n  \
-         \"warm_service_optimized_sessions_per_sec\": {:.2},\n  \
-         \"determinism_ok\": true\n}}\n",
-        service_rows[0].1, service_rows[1].1
+         \"warm_service_sessions_per_sec\": {throughput:.2},\n  \
+         \"determinism_ok\": true\n}}\n"
     );
     opts.write("BENCH_replay_speed.json", &json);
 }

@@ -27,8 +27,9 @@
 //!                        fleet size, every merged summary byte-identical
 //!                        to the single-daemon audit, plus a
 //!                        killed-backend retry cell (BENCH_coordinator.json)
-//! repro replay-speed     Classic vs fused-dispatch + event-ticking replay
-//!                        time, with a determinism cross-check
+//! repro replay-speed     Host ns per replay and per guest instruction
+//!                        (SciMark FFT, NFS 8-request) and warm-service
+//!                        sessions/s, with determinism checks
 //!                        (BENCH_replay_speed.json)
 //! repro registry         Reference registry: cold load+verify vs warm
 //!                        checkout, eviction-thrash sweep, multi- vs

@@ -143,11 +143,6 @@ pub struct MachineConfig {
     pub frame_policy_override: Option<FramePolicy>,
     /// Override the environment's frequency policy (ablations).
     pub freq_policy_override: Option<sim_core::FreqPolicy>,
-    /// Drive post-instruction housekeeping from the discrete-event tick
-    /// queue ([`crate::sched`]) instead of re-scanning every component
-    /// after every instruction. Host-side speed only: simulated time is
-    /// bit-identical either way (the determinism goldens pin this).
-    pub event_ticking: bool,
 }
 
 impl MachineConfig {
@@ -168,7 +163,6 @@ impl MachineConfig {
             sc_heartbeat_stall_max: 5_000,
             frame_policy_override: None,
             freq_policy_override: None,
-            event_ticking: true,
         }
     }
 
@@ -190,7 +184,6 @@ impl MachineConfig {
             sc_heartbeat_stall_max: 0,
             frame_policy_override: None,
             freq_policy_override: None,
-            event_ticking: true,
         }
     }
 }
@@ -225,6 +218,10 @@ pub struct Machine {
     next_heartbeat: Cycles,
     /// Discrete-event schedule of the housekeeping components.
     tickq: TickQueue,
+    /// Run the housekeeping pass after every step, as the scan-everything
+    /// design did: the reference the tick queue is tested against.
+    #[cfg(test)]
+    scan_every_step: bool,
 }
 
 impl Machine {
@@ -258,6 +255,8 @@ impl Machine {
             sc_rng: StdRng::seed_from_u64(seeds.noise ^ 0x5c5c),
             next_heartbeat: cfg.sc_heartbeat_interval.max(1),
             tickq: TickQueue::new(),
+            #[cfg(test)]
+            scan_every_step: false,
             noise_cfg,
             cfg,
         };
@@ -398,7 +397,10 @@ impl Machine {
     fn post_step(&mut self) {
         // Discrete-event gate: skip the whole housekeeping block unless a
         // component is actually due.
-        if !self.cfg.event_ticking || self.tickq.any_due(self.core.now()) {
+        let due = self.tickq.any_due(self.core.now());
+        #[cfg(test)]
+        let due = due || self.scan_every_step;
+        if due {
             self.run_housekeeping();
         }
         // A linear governor (`Fixed` with a whole-ps period) gives
@@ -838,15 +840,16 @@ mod tests {
         // The tick queue must never change simulated time — only skip
         // no-op housekeeping scans. Run an eventful mix (instructions,
         // idles, packets, event values) in a noisy environment and under
-        // non-linear governors, in both modes, and require identical
-        // clocks, wall time, event counts and timelines.
-        let run = |event_ticking: bool, env: Environment, freq: Option<sim_core::FreqPolicy>| {
+        // non-linear governors, gated by the queue and scanning after
+        // every step, and require identical clocks, wall time, event
+        // counts and timelines.
+        let run = |scan_every_step: bool, env: Environment, freq: Option<sim_core::FreqPolicy>| {
             let mut cfg = MachineConfig::sanity();
             cfg.env = env;
             cfg.tc_sc_split = false; // Exercise the TC-IRQ component too.
-            cfg.event_ticking = event_ticking;
             cfg.freq_policy_override = freq;
             let mut m = Machine::new(cfg, Seeds::from_run(42));
+            m.scan_every_step = scan_every_step;
             eventful_run(&mut m);
             let (p, i, d) = m.noise.stats();
             (
@@ -867,8 +870,8 @@ mod tests {
             (Environment::Sanity, Some(turbo)),
         ] {
             assert_eq!(
-                run(true, env, freq),
                 run(false, env, freq),
+                run(true, env, freq),
                 "tick modes diverged under {env:?} / {freq:?}"
             );
         }

@@ -1,9 +1,9 @@
 //! Integer, long, and floating-point arithmetic, conversions, comparisons.
 //!
-//! The `*_val` helpers are the single source of truth for each opcode's
-//! value semantics; both the classic handlers below and the fused fast
-//! path ([`super::fused`]) evaluate through them, so the two dispatch
-//! modes cannot drift apart.
+//! The `*_val` helpers give each non-trapping opcode's value semantics;
+//! the interpreter loop ([`super::fused`]) evaluates its inline arms
+//! through them. Division and remainder, which can throw, have handlers
+//! here.
 
 use jbc::{Op, OpClass, Program};
 
@@ -111,16 +111,7 @@ pub(crate) fn dcmp_val(a: f64, b: f64, nan_val: i32) -> i32 {
     }
 }
 
-// ---- classic handlers -----------------------------------------------------
-
-/// `IAdd`..`IUShr`.
-#[inline]
-pub(crate) fn int_binop(vm: &mut Vm, op: &Op, pc: u64, cls: OpClass) {
-    let b = vm.pop().as_i32();
-    let a = vm.pop().as_i32();
-    vm.push(Value::I32(int_binop_val(op, a, b)));
-    vm.charge(cls, pc, &[], None);
-}
+// ---- trapping handlers -----------------------------------------------------
 
 /// `IDiv`/`IRem` — may throw `ArithmeticException`.
 pub(crate) fn int_divrem(
@@ -144,32 +135,6 @@ pub(crate) fn int_divrem(
     Ok(())
 }
 
-/// `INeg`.
-#[inline]
-pub(crate) fn ineg(vm: &mut Vm, pc: u64, cls: OpClass) {
-    let a = vm.pop().as_i32();
-    vm.push(Value::I32(a.wrapping_neg()));
-    vm.charge(cls, pc, &[], None);
-}
-
-/// `LAdd`..`LXor`.
-#[inline]
-pub(crate) fn long_binop(vm: &mut Vm, op: &Op, pc: u64, cls: OpClass) {
-    let b = vm.pop().as_i64();
-    let a = vm.pop().as_i64();
-    vm.push(Value::I64(long_binop_val(op, a, b)));
-    vm.charge(cls, pc, &[], None);
-}
-
-/// `LShl`/`LShr`/`LUShr`.
-#[inline]
-pub(crate) fn long_shift(vm: &mut Vm, op: &Op, pc: u64, cls: OpClass) {
-    let b = vm.pop().as_i32();
-    let a = vm.pop().as_i64();
-    vm.push(Value::I64(long_shift_val(op, a, b)));
-    vm.charge(cls, pc, &[], None);
-}
-
 /// `LDiv`/`LRem` — may throw `ArithmeticException`.
 pub(crate) fn long_divrem(
     vm: &mut Vm,
@@ -190,57 +155,4 @@ pub(crate) fn long_divrem(
     };
     vm.push(Value::I64(r));
     Ok(())
-}
-
-/// `LNeg`.
-#[inline]
-pub(crate) fn lneg(vm: &mut Vm, pc: u64, cls: OpClass) {
-    let a = vm.pop().as_i64();
-    vm.push(Value::I64(a.wrapping_neg()));
-    vm.charge(cls, pc, &[], None);
-}
-
-/// `DAdd`..`DRem`.
-#[inline]
-pub(crate) fn dbl_binop(vm: &mut Vm, op: &Op, pc: u64, cls: OpClass) {
-    let b = vm.pop().as_f64();
-    let a = vm.pop().as_f64();
-    vm.push(Value::F64(dbl_binop_val(op, a, b)));
-    vm.charge(cls, pc, &[], None);
-}
-
-/// `DNeg`.
-#[inline]
-pub(crate) fn dneg(vm: &mut Vm, pc: u64, cls: OpClass) {
-    let a = vm.pop().as_f64();
-    vm.push(Value::F64(-a));
-    vm.charge(cls, pc, &[], None);
-}
-
-/// `I2L`..`I2S`.
-#[inline]
-pub(crate) fn conv(vm: &mut Vm, op: &Op, pc: u64, cls: OpClass) {
-    let v = vm.pop();
-    let r = conv_val(op, v);
-    vm.push(r);
-    vm.charge(cls, pc, &[], None);
-}
-
-/// `LCmp`.
-#[inline]
-pub(crate) fn lcmp(vm: &mut Vm, pc: u64, cls: OpClass) {
-    let b = vm.pop().as_i64();
-    let a = vm.pop().as_i64();
-    vm.push(Value::I32(lcmp_val(a, b)));
-    vm.charge(cls, pc, &[], None);
-}
-
-/// `DCmpL`/`DCmpG`.
-#[inline]
-pub(crate) fn dcmp(vm: &mut Vm, op: &Op, pc: u64, cls: OpClass) {
-    let b = vm.pop().as_f64();
-    let a = vm.pop().as_f64();
-    let nan = if matches!(op, Op::DCmpL) { -1 } else { 1 };
-    vm.push(Value::I32(dcmp_val(a, b, nan)));
-    vm.charge(cls, pc, &[], None);
 }

@@ -1,10 +1,9 @@
-//! Control flow: branches, switches, and returns.
+//! Control flow: branch conditions, switch targets, and returns.
 
 use jbc::{Op, OpClass, Program};
 use machine::machine::map;
 
 use crate::error::VmError;
-use crate::value::NULL;
 use crate::vmcore::{ThreadState, Vm};
 
 /// `IfEq`..`IfLe` condition on one operand.
@@ -53,98 +52,6 @@ pub(crate) fn lookup_switch_target(pairs: &[(i32, u32)], default: u32, k: i32) -
         .binary_search_by_key(&k, |(key, _)| *key)
         .map(|i| pairs[i].1)
         .unwrap_or(default)
-}
-
-// ---- classic handlers -----------------------------------------------------
-
-/// `Goto`.
-#[inline]
-pub(crate) fn goto(vm: &mut Vm, t: u32, pc: u64, cls: OpClass, code_base: u64) {
-    vm.charge(cls, pc, &[], Some((true, code_base + 4 * t as u64)));
-    vm.frame().ip = t;
-}
-
-/// `IfEq`..`IfLe`.
-#[inline]
-pub(crate) fn if_zero(vm: &mut Vm, op: &Op, t: u32, pc: u64, cls: OpClass, code_base: u64) {
-    let a = vm.pop().as_i32();
-    let taken = if_zero_taken(op, a);
-    vm.charge(cls, pc, &[], Some((taken, code_base + 4 * t as u64)));
-    if taken {
-        vm.frame().ip = t;
-    }
-}
-
-/// `IfICmpEq`..`IfICmpLe`.
-#[inline]
-pub(crate) fn if_icmp(vm: &mut Vm, op: &Op, t: u32, pc: u64, cls: OpClass, code_base: u64) {
-    let b = vm.pop().as_i32();
-    let a = vm.pop().as_i32();
-    let taken = if_icmp_taken(op, a, b);
-    vm.charge(cls, pc, &[], Some((taken, code_base + 4 * t as u64)));
-    if taken {
-        vm.frame().ip = t;
-    }
-}
-
-/// `IfACmpEq`/`IfACmpNe`.
-#[inline]
-pub(crate) fn if_acmp(vm: &mut Vm, op: &Op, t: u32, pc: u64, cls: OpClass, code_base: u64) {
-    let b = vm.pop().as_ref();
-    let a = vm.pop().as_ref();
-    let taken = if matches!(op, Op::IfACmpEq(_)) {
-        a == b
-    } else {
-        a != b
-    };
-    vm.charge(cls, pc, &[], Some((taken, code_base + 4 * t as u64)));
-    if taken {
-        vm.frame().ip = t;
-    }
-}
-
-/// `IfNull`/`IfNonNull`.
-#[inline]
-pub(crate) fn if_null(vm: &mut Vm, op: &Op, t: u32, pc: u64, cls: OpClass, code_base: u64) {
-    let a = vm.pop().as_ref();
-    let taken = (a == NULL) == matches!(op, Op::IfNull(_));
-    vm.charge(cls, pc, &[], Some((taken, code_base + 4 * t as u64)));
-    if taken {
-        vm.frame().ip = t;
-    }
-}
-
-/// `TableSwitch`.
-#[inline]
-pub(crate) fn table_switch(
-    vm: &mut Vm,
-    low: i32,
-    targets: &[u32],
-    default: u32,
-    pc: u64,
-    cls: OpClass,
-    code_base: u64,
-) {
-    let k = vm.pop().as_i32();
-    let t = table_switch_target(low, targets, default, k);
-    vm.charge(cls, pc, &[], Some((true, code_base + 4 * t as u64)));
-    vm.frame().ip = t;
-}
-
-/// `LookupSwitch`.
-#[inline]
-pub(crate) fn lookup_switch(
-    vm: &mut Vm,
-    pairs: &[(i32, u32)],
-    default: u32,
-    pc: u64,
-    cls: OpClass,
-    code_base: u64,
-) {
-    let k = vm.pop().as_i32();
-    let t = lookup_switch_target(pairs, default, k);
-    vm.charge(cls, pc, &[], Some((true, code_base + 4 * t as u64)));
-    vm.frame().ip = t;
 }
 
 /// `Return`/`IReturn`/`LReturn`/`DReturn`/`AReturn` — pop the frame, push

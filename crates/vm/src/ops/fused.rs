@@ -1,121 +1,32 @@
-//! The inlined fast path: fused dispatch for the hot opcodes.
+//! The interpreter loop: one decode, one prologue and one match per
+//! instruction.
 //!
-//! [`step_fused`] runs a micro-loop over the current thread's quantum. Each
-//! iteration peeks the next opcode; the hot set — constants, local access,
-//! stack shuffles, non-trapping arithmetic, conversions, comparisons,
-//! branches/switches, and static field access — executes inline while the
-//! current frame is borrowed exactly once, instead of re-borrowed for every
-//! operand push/pop as in classic dispatch. Everything else (heap traffic,
-//! calls, natives, division, monitors — anything that can allocate, throw,
-//! block, or switch threads) bails to the classic [`Vm::step`] *before any
-//! state is touched*, so the cold path re-decodes from a clean slate.
+//! [`step`] runs the current thread until its quantum expires or one cold
+//! opcode has executed. Each instruction is decoded once and pays the
+//! icount/budget/limit prologue once. The hot set — constants, local
+//! access, stack shuffles, non-trapping arithmetic, conversions,
+//! comparisons, branches/switches, and static field access — executes
+//! inline while the current frame is borrowed exactly once. Everything
+//! else (heap traffic, calls, natives, division, returns, monitors —
+//! anything that can allocate, throw, block, or switch threads) calls its
+//! handler in [`super::arith`], [`super::control`], [`super::heap`] or
+//! [`super::invoke`] and returns to the scheduler in [`Vm::run`].
 //!
-//! Timing identity: hot arms run the same prologue (icount/budget/limit
-//! checks), evaluate values through the same `ops::arith`/`ops::control`
-//! helpers, and charge the machine with the same cost class, memory
-//! references, and branch outcome as classic dispatch. The two modes are
-//! cross-checked instruction-for-instruction by `repro replay-speed` and
-//! the determinism goldens.
+//! Timing identity: each arm's cost class, memory references and branch
+//! outcome are pinned by the determinism goldens, whose opcode sweep
+//! executes every inline arm.
 
 use jbc::{Op, Program};
 use machine::machine::map;
 
-use super::{arith, charge, control};
+use super::{arith, charge, control, heap, invoke};
 use crate::error::VmError;
 use crate::value::{Value, NULL};
 use crate::vmcore::Vm;
 
-/// Is `op` in the fused hot set (executable without allocation, throw,
-/// block, or thread switch)?
-#[inline]
-fn is_hot(op: &Op) -> bool {
-    use Op::*;
-    matches!(
-        op,
-        Nop | IConst(_)
-            | LConst(_)
-            | DConst(_)
-            | AConstNull
-            | LdcStr(_)
-            | ILoad(_)
-            | LLoad(_)
-            | DLoad(_)
-            | ALoad(_)
-            | IStore(_)
-            | LStore(_)
-            | DStore(_)
-            | AStore(_)
-            | IInc(_, _)
-            | Pop
-            | Dup
-            | DupX1
-            | Swap
-            | IAdd
-            | ISub
-            | IMul
-            | IAnd
-            | IOr
-            | IXor
-            | IShl
-            | IShr
-            | IUShr
-            | INeg
-            | LAdd
-            | LSub
-            | LMul
-            | LAnd
-            | LOr
-            | LXor
-            | LShl
-            | LShr
-            | LUShr
-            | LNeg
-            | DAdd
-            | DSub
-            | DMul
-            | DDiv
-            | DRem
-            | DNeg
-            | I2L
-            | I2D
-            | L2I
-            | L2D
-            | D2I
-            | D2L
-            | I2B
-            | I2C
-            | I2S
-            | LCmp
-            | DCmpL
-            | DCmpG
-            | Goto(_)
-            | IfEq(_)
-            | IfNe(_)
-            | IfLt(_)
-            | IfGe(_)
-            | IfGt(_)
-            | IfLe(_)
-            | IfICmpEq(_)
-            | IfICmpNe(_)
-            | IfICmpLt(_)
-            | IfICmpGe(_)
-            | IfICmpGt(_)
-            | IfICmpLe(_)
-            | IfACmpEq(_)
-            | IfACmpNe(_)
-            | IfNull(_)
-            | IfNonNull(_)
-            | TableSwitch { .. }
-            | LookupSwitch { .. }
-            | GetStatic(_)
-            | PutStatic(_)
-    )
-}
-
 /// Execute instructions of the current thread until its quantum expires or
-/// a cold opcode is reached (which executes once via classic dispatch,
-/// then returns to the outer scheduling loop).
-pub(crate) fn step_fused(vm: &mut Vm, program: &Program) -> Result<(), VmError> {
+/// a cold opcode has run (then return to the outer scheduling loop).
+pub(crate) fn step(vm: &mut Vm, program: &Program) -> Result<(), VmError> {
     use Op::*;
     loop {
         if vm.budget == 0 {
@@ -130,13 +41,7 @@ pub(crate) fn step_fused(vm: &mut Vm, program: &Program) -> Result<(), VmError> 
             (program.method(f.method), f.ip)
         };
         let op = &method.code[ip as usize];
-        if !is_hot(op) {
-            // Cold: nothing has been mutated yet; classic dispatch redoes
-            // the decode and owns the whole instruction.
-            return vm.step(program);
-        }
 
-        // Prologue — identical to the classic step.
         vm.icount += 1;
         vm.budget -= 1;
         if vm.icount > vm.cfg.instr_limit {
@@ -146,7 +51,8 @@ pub(crate) fn step_fused(vm: &mut Vm, program: &Program) -> Result<(), VmError> 
             return Err(VmError::InstrLimit);
         }
 
-        // One disjoint borrow of everything a hot opcode can touch.
+        // One disjoint borrow of everything a hot opcode can touch. Cold
+        // arms stop using it and hand the whole `vm` to their handler.
         let Vm {
             threads,
             machine,
@@ -154,7 +60,7 @@ pub(crate) fn step_fused(vm: &mut Vm, program: &Program) -> Result<(), VmError> 
             string_refs,
             statics,
             ..
-        } = vm;
+        } = &mut *vm;
         let f = threads[cur]
             .frames
             .last_mut()
@@ -162,7 +68,8 @@ pub(crate) fn step_fused(vm: &mut Vm, program: &Program) -> Result<(), VmError> 
         let pc = method.code_base + 4 * ip as u64;
         let cls = op.class();
         let base = f.base_vaddr;
-        // Pre-advance, exactly like classic dispatch (branch arms overwrite).
+        // Pre-advance: fall-through is the default; branch arms overwrite,
+        // and exception handling matches handlers against `ip - 1`.
         f.ip = ip + 1;
         let stack = &mut f.stack;
 
@@ -445,7 +352,45 @@ pub(crate) fn step_fused(vm: &mut Vm, program: &Program) -> Result<(), VmError> 
                 );
             }
 
-            _ => unreachable!("cold opcode in fused hot path"),
+            // Cold: each handler owns the rest of the instruction, then
+            // control returns to the scheduler.
+            IDiv | IRem => return arith::int_divrem(vm, program, op, pc, cls),
+            LDiv | LRem => return arith::long_divrem(vm, program, op, pc, cls),
+            Return | IReturn | LReturn | DReturn | AReturn => {
+                return control::ret(vm, program, op, pc, cls)
+            }
+
+            New(c) => return heap::new_obj(vm, program, *c, pc, cls),
+            GetField(fid) => return heap::get_field(vm, program, *fid, pc, cls),
+            PutField(fid) => return heap::put_field(vm, program, *fid, pc, cls),
+            InstanceOf(c) => {
+                heap::instance_of(vm, program, *c, pc, cls);
+                return Ok(());
+            }
+            CheckCast(c) => return heap::check_cast(vm, program, *c, pc, cls),
+            NewArray(et) => return heap::new_array(vm, program, *et, pc, cls),
+            ArrayLength => return heap::array_length(vm, program, pc, cls),
+            IALoad | LALoad | DALoad | AALoad | BALoad | CALoad => {
+                let idx = pop!().as_i32();
+                let arr = pop!().as_ref();
+                let kind = heap::ArrayKind::of_load(op);
+                return heap::array_load(vm, program, kind, arr, idx, pc, cls);
+            }
+            IAStore | LAStore | DAStore | AAStore | BAStore | CAStore => {
+                let val = pop!();
+                let idx = pop!().as_i32();
+                let arr = pop!().as_ref();
+                return heap::array_store(vm, program, arr, idx, val, pc, cls);
+            }
+
+            InvokeStatic(m) => return invoke::invoke_static(vm, program, *m, pc, cls),
+            InvokeVirtual(m) | InvokeSpecial(m) => {
+                return invoke::invoke_instance(vm, program, op, *m, pc, cls)
+            }
+            InvokeNative(nid) => return invoke::invoke_native(vm, program, *nid, pc, cls),
+            AThrow => return invoke::athrow(vm, program, pc, cls),
+            MonitorEnter => return invoke::monitor_enter(vm, program, pc, cls),
+            MonitorExit => return invoke::monitor_exit(vm, program, pc, cls),
         }
     }
 }

@@ -1,4 +1,5 @@
-//! Heap traffic: object fields, statics, allocation, and typed arrays.
+//! Heap traffic: object fields, allocation, type tests, and typed arrays.
+//! Static field access runs inline in the interpreter loop.
 
 use jbc::{ElemTy, Op, OpClass, Program};
 use machine::machine::map;
@@ -105,24 +106,6 @@ pub(crate) fn put_field(
     let addr = vm.heap.payload_addr(obj) + 8 * slot as u64;
     vm.charge(cls, pc, &[(addr, true)], None);
     Ok(())
-}
-
-/// `GetStatic`.
-#[inline]
-pub(crate) fn get_static(vm: &mut Vm, program: &Program, fid: jbc::FieldId, pc: u64, cls: OpClass) {
-    let slot = program.field(fid).slot as usize;
-    let v = vm.statics[slot];
-    vm.push(v);
-    vm.charge(cls, pc, &[(map::STATICS + 8 * slot as u64, false)], None);
-}
-
-/// `PutStatic`.
-#[inline]
-pub(crate) fn put_static(vm: &mut Vm, program: &Program, fid: jbc::FieldId, pc: u64, cls: OpClass) {
-    let v = vm.pop();
-    let slot = program.field(fid).slot as usize;
-    vm.statics[slot] = v;
-    vm.charge(cls, pc, &[(map::STATICS + 8 * slot as u64, true)], None);
 }
 
 /// `InstanceOf`.

@@ -1,25 +1,21 @@
-//! Categorized opcode handlers — the bodies of the interpreter's dispatch
-//! loop, split by operational category (the raya-style layout).
+//! The interpreter's opcode semantics, split by operational category (the
+//! raya-style layout).
 //!
-//! [`crate::vmcore::Vm::step`] stays the single decode point: it matches
-//! the opcode once and delegates to a handler here, so classic dispatch
-//! pays no extra indirection. The [`fused`] module adds the inlined fast
-//! path for the hot arithmetic/local/control opcodes: one borrow of the
-//! current frame per instruction instead of one per operand access, with
-//! anything complex (heap, calls, natives, potential throws) bailing to
-//! the classic handlers *before* any state is mutated.
+//! [`fused`] is the interpreter loop and the single decode point: it
+//! matches each opcode once, runs the hot arithmetic/local/control
+//! opcodes inline, and delegates the cold ones (heap, calls, natives,
+//! division, returns, monitors) to a handler in [`arith`], [`control`],
+//! [`heap`] or [`invoke`]. Those modules also hold the value helpers the
+//! inline arms evaluate through.
 //!
-//! Every handler charges the machine exactly like the pre-split dispatch
-//! loop did — same cost class, same memory references, same branch
-//! outcome — so cycle counts are bit-identical by construction (pinned by
-//! `tests/determinism_goldens.rs`).
+//! What each opcode charges the machine — cost class, memory references,
+//! branch outcome — is pinned by `tests/determinism_goldens.rs`.
 
 pub(crate) mod arith;
 pub(crate) mod control;
 pub(crate) mod fused;
 pub(crate) mod heap;
 pub(crate) mod invoke;
-pub(crate) mod locals;
 
 use jbc::OpClass;
 use machine::Machine;
@@ -51,8 +47,8 @@ pub(crate) fn op_cost(c: &CostModel, class: OpClass) -> Cycles {
         }
 }
 
-/// Charge one instruction to the machine: timing-identical to the classic
-/// `Vm::charge`, callable while the VM's fields are disjointly borrowed.
+/// Charge one instruction to the machine; callable while the VM's fields
+/// are disjointly borrowed (`Vm::charge` wraps it for the cold handlers).
 #[inline]
 pub(crate) fn charge(
     machine: &mut Machine,

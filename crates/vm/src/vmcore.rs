@@ -3,7 +3,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use jbc::{MethodId, Op, OpClass, Program};
+use jbc::{MethodId, OpClass, Program};
 use machine::machine::map;
 use machine::Machine;
 use sim_core::{CostModel, Cycles};
@@ -12,7 +12,7 @@ use crate::error::VmError;
 use crate::heap::{Heap, HeapObj};
 use crate::natives::{DelayModel, NativeKind};
 use crate::ops;
-use crate::value::{Handle, Value, NULL};
+use crate::value::{Handle, Value};
 
 /// How the VM treats the passage of idle time (see `wait_packet`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,24 +25,6 @@ pub enum ReplayStyle {
     /// Functional replay (the XenTT-style baseline): skip waits entirely —
     /// the behavior that makes Fig. 3 diverge from the diagonal.
     Functional,
-}
-
-/// How the interpreter's inner loop executes opcodes.
-///
-/// Both modes are *bit-identical in simulated time* — same cycle counts,
-/// same wall-clock picoseconds, same RNG draws (pinned by the determinism
-/// goldens suite) — and differ only in host-side speed. `Fused` is the
-/// default; `Classic` is kept as the reference implementation and the
-/// "before" baseline of `repro replay-speed`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DispatchMode {
-    /// One `step()` call per instruction: single decode point, one match,
-    /// per-operand frame re-borrowing. The original dispatch loop.
-    Classic,
-    /// Fused fast path: hot arithmetic/local/control opcodes execute in a
-    /// micro-loop that borrows the current frame once per instruction;
-    /// cold opcodes (heap, calls, natives) bail to the classic handlers.
-    Fused,
 }
 
 /// VM construction parameters.
@@ -62,9 +44,6 @@ pub struct VmConfig {
     pub heap_size: u64,
     /// Wait/idle semantics.
     pub replay_style: ReplayStyle,
-    /// Inner-loop dispatch strategy (host-side speed only; simulated time
-    /// is identical across modes).
-    pub dispatch: DispatchMode,
 }
 
 impl Default for VmConfig {
@@ -77,7 +56,6 @@ impl Default for VmConfig {
             max_call_depth: 512,
             heap_size: 64 << 20,
             replay_style: ReplayStyle::Play,
-            dispatch: DispatchMode::Fused,
         }
     }
 }
@@ -361,18 +339,13 @@ impl Vm {
     /// Run until every thread completes (or a VM error occurs).
     pub fn run(&mut self) -> Result<RunOutcome, VmError> {
         let program = Arc::clone(&self.program);
-        let fused = self.cfg.dispatch == DispatchMode::Fused;
         loop {
             if (self.threads[self.cur].state != ThreadState::Runnable || self.budget == 0)
                 && !self.rotate()?
             {
                 break;
             }
-            if fused {
-                crate::ops::fused::step_fused(self, &program)?;
-            } else {
-                self.step(&program)?;
-            }
+            ops::fused::step(self, &program)?;
         }
         Ok(RunOutcome {
             exit: ExitKind::Completed,
@@ -381,22 +354,6 @@ impl Vm {
             wall_ps: self.machine.now_ps(),
             console: self.console.clone(),
         })
-    }
-
-    /// Run until the instruction counter reaches at least `target` (used by
-    /// checkpointing and segment replay). Returns false if the program
-    /// finished first.
-    pub fn run_until_icount(&mut self, target: u64) -> Result<bool, VmError> {
-        let program = Arc::clone(&self.program);
-        while self.icount < target {
-            if (self.threads[self.cur].state != ThreadState::Runnable || self.budget == 0)
-                && !self.rotate()?
-            {
-                return Ok(false);
-            }
-            self.step(&program)?;
-        }
-        Ok(true)
     }
 
     pub(crate) fn charge(
@@ -505,129 +462,6 @@ impl Vm {
             .idle(stats.live * 40 + (stats.live + stats.freed) * 8 + 500);
     }
 
-    // ---- the dispatch loop ----------------------------------------------------------
-
-    pub(crate) fn step(&mut self, program: &Program) -> Result<(), VmError> {
-        self.icount += 1;
-        self.budget -= 1;
-        if self.icount > self.cfg.instr_limit {
-            return Err(VmError::InstrLimit);
-        }
-        if self.machine.now_cycles() > self.cfg.cycle_limit {
-            return Err(VmError::InstrLimit);
-        }
-        let (mid, ip) = {
-            let f = self.frame();
-            (f.method, f.ip)
-        };
-        let method = program.method(mid);
-        let op = &method.code[ip as usize];
-        let pc = method.code_base + 4 * ip as u64;
-        let cls = op.class();
-        let base = self.frame().base_vaddr;
-
-        // Pre-advance: fall-through is the default; branch arms overwrite,
-        // and exception handling matches handlers against `ip - 1`.
-        self.frame().ip = ip + 1;
-
-        use Op::*;
-        match op {
-            // Constants, locals, stack shuffles (`ops::locals`).
-            Nop => self.charge(cls, pc, &[], None),
-            IConst(v) => ops::locals::const_op(self, Value::I32(*v), pc, cls),
-            LConst(v) => ops::locals::const_op(self, Value::I64(*v), pc, cls),
-            DConst(v) => ops::locals::const_op(self, Value::F64(*v), pc, cls),
-            AConstNull => ops::locals::const_op(self, Value::Ref(NULL), pc, cls),
-            LdcStr(i) => ops::locals::ldc_str(self, *i, pc, cls),
-            ILoad(n) | LLoad(n) | DLoad(n) | ALoad(n) => ops::locals::load(self, *n, pc, cls, base),
-            IStore(n) | LStore(n) | DStore(n) | AStore(n) => {
-                ops::locals::store(self, *n, pc, cls, base)
-            }
-            IInc(n, d) => ops::locals::iinc(self, *n, *d, pc, cls, base),
-            Pop | Dup | DupX1 | Swap => ops::locals::stack_op(self, op, pc, cls),
-
-            // Arithmetic, conversions, comparisons (`ops::arith`).
-            IAdd | ISub | IMul | IAnd | IOr | IXor | IShl | IShr | IUShr => {
-                ops::arith::int_binop(self, op, pc, cls)
-            }
-            IDiv | IRem => return ops::arith::int_divrem(self, program, op, pc, cls),
-            INeg => ops::arith::ineg(self, pc, cls),
-            LAdd | LSub | LMul | LAnd | LOr | LXor => ops::arith::long_binop(self, op, pc, cls),
-            LShl | LShr | LUShr => ops::arith::long_shift(self, op, pc, cls),
-            LDiv | LRem => return ops::arith::long_divrem(self, program, op, pc, cls),
-            LNeg => ops::arith::lneg(self, pc, cls),
-            DAdd | DSub | DMul | DDiv | DRem => ops::arith::dbl_binop(self, op, pc, cls),
-            DNeg => ops::arith::dneg(self, pc, cls),
-            I2L | I2D | L2I | L2D | D2I | D2L | I2B | I2C | I2S => {
-                ops::arith::conv(self, op, pc, cls)
-            }
-            LCmp => ops::arith::lcmp(self, pc, cls),
-            DCmpL | DCmpG => ops::arith::dcmp(self, op, pc, cls),
-
-            // Control flow (`ops::control`).
-            Goto(t) => ops::control::goto(self, *t, pc, cls, method.code_base),
-            IfEq(t) | IfNe(t) | IfLt(t) | IfGe(t) | IfGt(t) | IfLe(t) => {
-                ops::control::if_zero(self, op, *t, pc, cls, method.code_base)
-            }
-            IfICmpEq(t) | IfICmpNe(t) | IfICmpLt(t) | IfICmpGe(t) | IfICmpGt(t) | IfICmpLe(t) => {
-                ops::control::if_icmp(self, op, *t, pc, cls, method.code_base)
-            }
-            IfACmpEq(t) | IfACmpNe(t) => {
-                ops::control::if_acmp(self, op, *t, pc, cls, method.code_base)
-            }
-            IfNull(t) | IfNonNull(t) => {
-                ops::control::if_null(self, op, *t, pc, cls, method.code_base)
-            }
-            TableSwitch {
-                low,
-                targets,
-                default,
-            } => {
-                ops::control::table_switch(self, *low, targets, *default, pc, cls, method.code_base)
-            }
-            LookupSwitch { pairs, default } => {
-                ops::control::lookup_switch(self, pairs, *default, pc, cls, method.code_base)
-            }
-            Return | IReturn | LReturn | DReturn | AReturn => {
-                return ops::control::ret(self, program, op, pc, cls)
-            }
-
-            // Objects and arrays (`ops::heap`).
-            New(c) => return ops::heap::new_obj(self, program, *c, pc, cls),
-            GetField(fid) => return ops::heap::get_field(self, program, *fid, pc, cls),
-            PutField(fid) => return ops::heap::put_field(self, program, *fid, pc, cls),
-            GetStatic(fid) => ops::heap::get_static(self, program, *fid, pc, cls),
-            PutStatic(fid) => ops::heap::put_static(self, program, *fid, pc, cls),
-            InstanceOf(c) => ops::heap::instance_of(self, program, *c, pc, cls),
-            CheckCast(c) => return ops::heap::check_cast(self, program, *c, pc, cls),
-            NewArray(et) => return ops::heap::new_array(self, program, *et, pc, cls),
-            ArrayLength => return ops::heap::array_length(self, program, pc, cls),
-            IALoad | LALoad | DALoad | AALoad | BALoad | CALoad => {
-                let kind = ops::heap::ArrayKind::of_load(op);
-                let idx = self.pop().as_i32();
-                let arr = self.pop().as_ref();
-                return ops::heap::array_load(self, program, kind, arr, idx, pc, cls);
-            }
-            IAStore | LAStore | DAStore | AAStore | BAStore | CAStore => {
-                let val = self.pop();
-                let idx = self.pop().as_i32();
-                let arr = self.pop().as_ref();
-                return ops::heap::array_store(self, program, arr, idx, val, pc, cls);
-            }
-
-            // Calls, natives, throw, monitors (`ops::invoke`).
-            InvokeStatic(m) => return ops::invoke::invoke_static(self, program, *m, pc, cls),
-            InvokeVirtual(m) | InvokeSpecial(m) => {
-                return ops::invoke::invoke_instance(self, program, op, *m, pc, cls)
-            }
-            InvokeNative(nid) => return ops::invoke::invoke_native(self, program, *nid, pc, cls),
-            AThrow => return ops::invoke::athrow(self, program, pc, cls),
-            MonitorEnter => return ops::invoke::monitor_enter(self, program, pc, cls),
-            MonitorExit => return ops::invoke::monitor_exit(self, program, pc, cls),
-        }
-
-        Ok(())
-    }
     pub(crate) fn push_frame(
         &mut self,
         program: &Program,

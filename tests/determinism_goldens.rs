@@ -19,7 +19,6 @@
 use jbc::{ElemTy, Label, MethodAsm, Op, Program, ProgramBuilder, Ty};
 use sanity_tdr::{AuditConfig, AuditJob, BatteryMode, DetectorBattery, Sanity};
 use sim_core::CoreStats;
-use vm::{DispatchMode, VmConfig};
 use workloads::corpus;
 
 const GOLDEN_PATH: &str = concat!(
@@ -416,40 +415,6 @@ fn opcode_sweep_covers_every_inline_opcode() {
         getstatic putstatic";
     for op in inline.split_whitespace() {
         assert!(code.contains(op), "opcode sweep never executes {op}");
-    }
-}
-
-/// The fused fast path is a host-side optimization only: record + replay
-/// under `DispatchMode::Classic` must be bit-identical to the default.
-#[test]
-fn classic_and_fused_dispatch_agree() {
-    for (k, label, prog) in golden_programs() {
-        let runs: Vec<String> = [DispatchMode::Fused, DispatchMode::Classic]
-            .iter()
-            .map(|&dispatch| {
-                let s = Sanity::new(prog.clone()).with_vm_config(VmConfig {
-                    dispatch,
-                    ..VmConfig::default()
-                });
-                let rec = s.record(1_000 + k, |_| {}).expect("record");
-                let rep = s.replay(&rec.log, 2_000 + k, |_| {}).expect("replay");
-                format!(
-                    "{} {} {} {:?} {:?} | {} {} {:?}",
-                    rec.outcome.icount,
-                    rec.outcome.cycles,
-                    rec.outcome.wall_ps,
-                    rec.outcome.console,
-                    rec.tx_ipds_cycles(),
-                    rep.outcome.cycles,
-                    rep.outcome.wall_ps,
-                    rep.tx_ipds_cycles(),
-                )
-            })
-            .collect();
-        assert_eq!(
-            runs[0], runs[1],
-            "dispatch modes diverged on program {label}"
-        );
     }
 }
 
