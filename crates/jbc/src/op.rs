@@ -274,7 +274,8 @@ pub enum Op {
     },
     /// Sparse jump table of `(key, target)` pairs, sorted by key.
     LookupSwitch {
-        /// Sorted `(key, target)` pairs.
+        /// `(key, target)` pairs, keys strictly increasing (`verify`
+        /// rejects any other order).
         pairs: Vec<(i32, u32)>,
         /// Target when no key matches.
         default: u32,

@@ -3,6 +3,8 @@
 //! Runs a worklist dataflow over each method to check that:
 //!
 //! * every branch target and handler target is a valid instruction index;
+//! * every `LookupSwitch` table is sorted by strictly increasing key (the
+//!   interpreter resolves it by binary search);
 //! * every local-variable index is within `max_locals`;
 //! * the operand stack has a consistent depth at every instruction (the same
 //!   join point is always reached with the same depth) and never underflows;
@@ -75,6 +77,11 @@ pub fn verify_method(program: &Program, mid: MethodId) -> Result<(), VerifyError
         for t in op.branch_targets() {
             if t as usize >= n {
                 return Err(err(mid, at, format!("branch target {t} out of range")));
+            }
+        }
+        if let Op::LookupSwitch { pairs, .. } = op {
+            if pairs.windows(2).any(|w| w[0].0 >= w[1].0) {
+                return Err(err(mid, at, "lookupswitch keys not strictly increasing"));
             }
         }
         check_ids(program, mid, i as u32, op)?;
@@ -441,6 +448,41 @@ mod tests {
             m.handler(0, 2, h, None);
         })
         .is_ok());
+    }
+
+    /// A `main` whose `LookupSwitch` carries `keys` (in this order), every
+    /// arm returning.
+    fn lookup_switch_program(keys: &[i32]) -> Program {
+        let mut b = ProgramBuilder::new();
+        let main = {
+            let mut m = b.static_method("Main", "main", &[], None);
+            let out = m.label();
+            m.op(Op::IConst(1));
+            let pairs: Vec<(i32, crate::builder::Label)> = keys.iter().map(|&k| (k, out)).collect();
+            m.lookup_switch(&pairs, out);
+            m.bind(out);
+            m.op(Op::Return);
+            m.finish()
+        };
+        b.set_entry(main);
+        let mut p = b.link().unwrap();
+        // The builder sorts its pairs; restore the order under test.
+        if let Op::LookupSwitch { pairs, .. } = &mut p.methods[main.0 as usize].code[1] {
+            for (pair, &k) in pairs.iter_mut().zip(keys) {
+                pair.0 = k;
+            }
+        }
+        p
+    }
+
+    #[test]
+    fn lookup_switch_keys_must_strictly_increase() {
+        assert!(verify(&lookup_switch_program(&[-3, 0, 7])).is_ok());
+        for keys in [&[5, 1][..], &[1, 4, 4]] {
+            let e = verify(&lookup_switch_program(keys)).unwrap_err();
+            assert_eq!(e.at, Some(1), "{e}");
+            assert!(e.what.contains("lookupswitch keys"), "{e}");
+        }
     }
 
     #[test]

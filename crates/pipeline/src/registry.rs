@@ -438,6 +438,41 @@ mod tests {
     }
 
     #[test]
+    fn unsorted_lookup_switch_is_refused_on_load() {
+        // The interpreter resolves a lookupswitch by binary search, so an
+        // unsorted or duplicate-key table would silently take the default
+        // for keys it contains. The canonical encoding keeps whatever order
+        // it is given; verify-on-load is what refuses it.
+        let mut b = jbc::ProgramBuilder::new();
+        let main = {
+            let mut m = b.static_method("Main", "main", &[], None);
+            let out = m.label();
+            m.op(jbc::Op::IConst(4));
+            m.lookup_switch(&[(1, out), (4, out)], out);
+            m.bind(out);
+            m.op(jbc::Op::Return);
+            m.finish()
+        };
+        b.set_entry(main);
+        let mut p = b.link().expect("links");
+        if let jbc::Op::LookupSwitch { pairs, .. } = &mut p.methods[main.0 as usize].code[1] {
+            pairs.reverse();
+        }
+        let tdrp = container::seal(&p);
+        assert!(
+            container::open(&tdrp).is_ok(),
+            "the envelope itself is fine"
+        );
+        let reg = ReferenceRegistry::new(u64::MAX);
+        let err = reg.load(&tdrp).expect_err("unsorted table is refused");
+        assert!(
+            matches!(&err, RegistryError::Verify(e) if e.what.contains("lookupswitch keys")),
+            "got {err:?}"
+        );
+        assert!(reg.is_empty(), "nothing unverified is admitted");
+    }
+
+    #[test]
     fn checkout_pins_against_eviction() {
         let a = sealed(10);
         let b = sealed(11);

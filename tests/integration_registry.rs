@@ -331,6 +331,49 @@ fn tampered_put_reference_is_rejected_in_band_and_daemon_keeps_serving() {
     daemon.shutdown();
 }
 
+/// A verified-looking TDRP whose `LookupSwitch` keys are out of order (the
+/// interpreter resolves the table by binary search) is refused in-band by
+/// the daemon's verify-on-load, and nothing is registered.
+#[test]
+fn unsorted_lookup_switch_put_reference_is_rejected_in_band() {
+    use sanity_tdr::jbc::{Op, ProgramBuilder};
+    let mut b = ProgramBuilder::new();
+    let main = {
+        let mut m = b.static_method("Main", "main", &[], None);
+        let (one, four, out) = (m.label(), m.label(), m.label());
+        m.op(Op::IConst(4));
+        m.lookup_switch(&[(1, one), (4, four)], out);
+        m.bind(one).bind(four).bind(out).op(Op::Return);
+        m.finish()
+    };
+    b.set_entry(main);
+    let mut program = b.link().expect("links");
+    if let Op::LookupSwitch { pairs, .. } = &mut program.methods[main.0 as usize].code[1] {
+        pairs.swap(0, 1);
+    }
+
+    let service = echo_sanity_with(1)
+        .audit_service()
+        .workers(1)
+        .build()
+        .expect("valid configuration");
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let daemon = serve_tcp_with(service, listener, DaemonOptions::default()).expect("serve");
+    let stream = std::net::TcpStream::connect(daemon.local_addr()).expect("connect");
+    let mut client = Client::new(stream);
+    let put = client
+        .put_reference(1, container::seal(&program))
+        .expect("exchange completes");
+    match &put.status {
+        AckStatus::Rejected(msg) => assert!(msg.contains("lookupswitch keys"), "{msg}"),
+        other => panic!("unsorted lookupswitch admitted: {other:?}"),
+    }
+    let snap = daemon.service().metrics_snapshot();
+    assert_eq!(snap.counter("registry_verify_failures"), 1);
+    client.shutdown().expect("ack");
+    daemon.shutdown();
+}
+
 /// Service-level determinism: the same load/submit sequence produces the
 /// same eviction order, and verdicts are bit-identical at *any* budget
 /// that admits the working set of each batch — pool temperature and
