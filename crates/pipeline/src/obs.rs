@@ -923,4 +923,81 @@ mod tests {
         assert!(snap.render().contains("sessions_audited"));
         assert!(snap.render_line().contains("conn_active=0"));
     }
+
+    /// The daemon's exported name set is an operator-facing contract:
+    /// dashboards and `tdrd --client --stats` key on these names. Pin
+    /// the exact sets a fresh service registers, per family.
+    #[test]
+    fn service_metrics_snapshot_name_sets_are_pinned() {
+        fn names<V>(family: &BTreeMap<String, V>) -> Vec<&str> {
+            family.keys().map(String::as_str).collect()
+        }
+        let snap = ServiceMetrics::new().snapshot();
+        assert_eq!(
+            names(&snap.counters),
+            [
+                "batch_errors",
+                "batches_completed",
+                "batches_submitted",
+                "bytes_in",
+                "bytes_out",
+                "conn_accepted",
+                "conn_errors",
+                "conn_idle_timeout",
+                "conn_reaped",
+                "conn_shed",
+                "control_errors",
+                "frames_in",
+                "frames_in_put_battery",
+                "frames_in_put_reference",
+                "frames_in_shutdown",
+                "frames_in_stats_request",
+                "frames_in_submit_batch",
+                "frames_out",
+                "frames_out_battery_ack",
+                "frames_out_busy",
+                "frames_out_error",
+                "frames_out_reference_ack",
+                "frames_out_shutdown_ack",
+                "frames_out_stats",
+                "frames_out_summary",
+                "frames_out_verdict",
+                "quota_rejections",
+                "registry_evictions",
+                "registry_hits",
+                "registry_loads",
+                "registry_misses",
+                "registry_verify_failures",
+                "replayed_cycles",
+                "retrain_generations",
+                "sessions_audited",
+                "sessions_cancelled",
+                "sessions_submitted",
+                "worker_busy_nanos",
+            ],
+            "counter names"
+        );
+        assert_eq!(
+            names(&snap.gauges),
+            [
+                "conn_active",
+                "in_flight_jobs",
+                "queue_depth",
+                "registry_references",
+                "registry_resident_bytes",
+                "residency_peak",
+            ],
+            "gauge names"
+        );
+        assert_eq!(
+            names(&snap.float_gauges),
+            ["retrain_drift_max", "retrain_drift_mean", "uptime_seconds"],
+            "float gauge names"
+        );
+        assert_eq!(
+            names(&snap.histograms),
+            ["batch_sessions", "conn_frames", "verdict_latency_us"],
+            "histogram names"
+        );
+    }
 }
