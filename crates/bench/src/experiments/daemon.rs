@@ -70,45 +70,6 @@ fn build_batches(sanity: &Sanity, batches: usize, per_batch: usize) -> Vec<Vec<u
         .collect()
 }
 
-/// Submit one batch over the control plane and read frames until its
-/// summary arrives; returns the summary and the verdict-frame count.
-fn roundtrip(
-    client: &mut (impl std::io::Read + std::io::Write),
-    batch_id: u64,
-    tdrb: Vec<u8>,
-) -> (FleetSummary, usize) {
-    ControlFrame::SubmitBatch {
-        batch_id,
-        tdrb,
-        reference: None,
-    }
-    .write_to(client)
-    .expect("submit");
-    let mut verdicts = 0usize;
-    loop {
-        match ControlFrame::read_from(client)
-            .expect("response decodes")
-            .expect("daemon is up")
-        {
-            ControlFrame::Verdict {
-                batch_id: got_id, ..
-            } => {
-                assert_eq!(got_id, batch_id);
-                verdicts += 1;
-            }
-            ControlFrame::Summary {
-                batch_id: got_id,
-                summary,
-                ..
-            } => {
-                assert_eq!(got_id, batch_id);
-                return (summary, verdicts);
-            }
-            other => panic!("unexpected daemon frame: {other:?}"),
-        }
-    }
-}
-
 /// Run the warm-daemon vs cold-spin-up latency comparison.
 pub fn run(opts: &Options) {
     println!("== audit daemon: warm service vs per-call pool spin-up ==\n");
@@ -144,7 +105,8 @@ pub fn run(opts: &Options) {
         .workers(WORKERS)
         .build()
         .expect("valid service configuration");
-    let (mut client, server) = duplex();
+    let (client_end, server) = duplex();
+    let mut client = Client::new(client_end);
     let server_thread = std::thread::spawn(move || {
         let outcome = service.serve(&server, &server);
         service.shutdown();
@@ -154,21 +116,18 @@ pub fn run(opts: &Options) {
     let mut warm_ms = Vec::with_capacity(BATCHES);
     for (b, bytes) in batches.iter().enumerate() {
         let t = Instant::now();
-        let (summary, verdicts) = roundtrip(&mut client, b as u64, bytes.clone());
+        let outcome = client
+            .submit_batch(b as u64, bytes.clone())
+            .expect("protocol clean");
         warm_ms.push(t.elapsed().as_secs_f64() * 1e3);
-        assert_eq!(verdicts as u64, summary.sessions);
+        let summary = outcome.result.expect("daemon audits the batch").summary;
+        assert_eq!(outcome.verdicts.len() as u64, summary.sessions);
         assert_eq!(
             summary, cold_summaries[b],
             "daemon summary must be byte-identical to the one-shot path"
         );
     }
-    ControlFrame::Shutdown.write_to(&mut client).expect("bye");
-    assert_eq!(
-        ControlFrame::read_from(&mut client)
-            .expect("ack decodes")
-            .expect("daemon acks"),
-        ControlFrame::ShutdownAck
-    );
+    client.shutdown().expect("daemon acks the shutdown");
     server_thread
         .join()
         .expect("server thread")

@@ -8,12 +8,10 @@
 //! `Arc`s so forty workers share one copy instead of forty) — and hands
 //! out per-session audit replays. It is what turns the two-trace TDR
 //! detector into an ordinary [`detectors::Detector`]: the adapter produces
-//! the reference timing the detector compares against. It also counts what
-//! passed through it, which is what the throughput bench reads. Under an
-//! [`crate::AuditService`] the per-worker tallies here are shadowed by the
-//! service-wide [`crate::obs::ServiceMetrics`] counters (`sessions_audited`,
-//! `replayed_cycles`), which aggregate across workers without touching this
-//! single-threaded hot path.
+//! the reference timing the detector compares against. Under an
+//! [`crate::AuditService`] the service-wide [`crate::obs::ServiceMetrics`]
+//! counters (`sessions_audited`, `replayed_cycles`) tally what passed
+//! through every worker's cache.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -24,7 +22,7 @@ use replay::{audit_replay, EventLog, Recorded, SessionError};
 use crate::verdict::AuditVerdict;
 use crate::{AuditConfig, AuditJob, BatteryMode, Reference};
 
-/// Per-worker audit state: the reference environment plus counters.
+/// Per-worker audit state: the pinned reference environment.
 #[derive(Debug)]
 pub struct ReferenceCache {
     program: Arc<jbc::Program>,
@@ -35,10 +33,6 @@ pub struct ReferenceCache {
     /// Shared trained battery (None = TDR-only fleet).
     battery: Option<Arc<DetectorBattery>>,
     tdr: TdrDetector,
-    /// Sessions audited by this worker.
-    sessions_audited: u64,
-    /// Reference cycles replayed by this worker (for sessions/sec math).
-    cycles_replayed: u64,
 }
 
 impl ReferenceCache {
@@ -51,19 +45,7 @@ impl ReferenceCache {
             files: Arc::new(reference.files.clone()),
             battery: reference.battery.clone(),
             tdr: TdrDetector::new(),
-            sessions_audited: 0,
-            cycles_replayed: 0,
         }
-    }
-
-    /// Sessions audited through this cache.
-    pub fn sessions_audited(&self) -> u64 {
-        self.sessions_audited
-    }
-
-    /// Total reference cycles replayed through this cache.
-    pub fn cycles_replayed(&self) -> u64 {
-        self.cycles_replayed
     }
 
     /// Swap in the fleet's current trained battery (shared `Arc`).
@@ -71,34 +53,23 @@ impl ReferenceCache {
     /// Persistent service workers outlive battery retraining: when
     /// cross-batch absorption produces a new battery, each work item
     /// carries the generation it was submitted under, and the worker
-    /// re-points its cache here — an `Arc` pointer compare, so the common
-    /// no-change case costs nothing and the rest of the warm cache
-    /// (program, machine, files) is untouched.
+    /// re-points its cache here; the rest of the cache (program, machine,
+    /// files) is untouched.
     pub fn set_battery(&mut self, battery: Option<Arc<DetectorBattery>>) {
-        let unchanged = match (&self.battery, &battery) {
-            (None, None) => true,
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        };
-        if !unchanged {
-            self.battery = battery;
-        }
+        self.battery = battery;
     }
 
     /// Run the audit replay for `log` under `seed` on the cached reference.
     pub fn replay(&mut self, log: &EventLog, seed: u64) -> Result<Recorded, SessionError> {
         let files = (*self.files).clone();
-        let rec = audit_replay(
+        audit_replay(
             Arc::clone(&self.program),
             self.machine,
             self.vm,
             log,
             seed,
             |vm| vm.set_files(files),
-        )?;
-        self.sessions_audited += 1;
-        self.cycles_replayed += rec.outcome.cycles;
-        Ok(rec)
+        )
     }
 
     /// The trained battery this cache scores with, if the fleet has one.

@@ -25,7 +25,7 @@ use jbc::ReferenceId;
 use replay::codec::{wire, CodecError};
 use replay::stream::{read_full, read_length_prefix, StreamError};
 
-use crate::obs::{HistogramSnapshot, MetricsSnapshot};
+use crate::obs::{HistogramSnapshot, MetricsRegistry, MetricsSnapshot, WireMetrics};
 use crate::verdict::{AuditVerdict, DetectorStats, FleetSummary, ScoreHistogram, EDGES};
 
 /// Magic bytes opening every control frame's payload.
@@ -334,6 +334,25 @@ mod kind {
     pub const BATTERY_ACK: u8 = 0x0d;
 }
 
+/// Each frame kind's traffic counter, indexed by wire kind byte − 1
+/// ([`ControlFrame::kind_index`]): `frames_in_*` for the request kinds a
+/// server reads, `frames_out_*` for the response kinds it writes.
+pub(crate) const FRAME_KIND_COUNTERS: [&str; 13] = [
+    "frames_in_submit_batch",
+    "frames_out_verdict",
+    "frames_out_summary",
+    "frames_out_error",
+    "frames_in_shutdown",
+    "frames_out_shutdown_ack",
+    "frames_in_stats_request",
+    "frames_out_stats",
+    "frames_out_busy",
+    "frames_in_put_reference",
+    "frames_out_reference_ack",
+    "frames_in_put_battery",
+    "frames_out_battery_ack",
+];
+
 /// What a [`ControlFrame::ReferenceAck`] reports about a registry
 /// operation. Encoded as one byte on the wire (an unknown byte is
 /// rejected as [`ControlError::BadAckStatus`]); a `Rejected` status
@@ -545,6 +564,23 @@ impl ControlFrame {
             ControlFrame::PutBattery { .. } => kind::PUT_BATTERY,
             ControlFrame::BatteryAck { .. } => kind::BATTERY_ACK,
         }
+    }
+
+    /// The variant's position in [`FRAME_KIND_COUNTERS`].
+    pub(crate) fn kind_index(&self) -> usize {
+        usize::from(self.kind_byte() - 1)
+    }
+
+    /// Whether the variant flows client → server.
+    pub(crate) fn is_request(&self) -> bool {
+        matches!(
+            self,
+            ControlFrame::SubmitBatch { .. }
+                | ControlFrame::Shutdown
+                | ControlFrame::StatsRequest
+                | ControlFrame::PutReference { .. }
+                | ControlFrame::PutBattery { .. }
+        )
     }
 
     /// The variant's display name (for protocol-violation errors).
@@ -1514,6 +1550,138 @@ impl<T: Read + Write> Client<T> {
     pub fn into_inner(self) -> T {
         self.transport
     }
+}
+
+// ---------------------------------------------------------------------------
+// The server loop
+// ---------------------------------------------------------------------------
+
+/// The response side of a server connection: [`write`](Self::write)
+/// counts each frame the transport took; flushing is a separate call, so
+/// each role keeps its own flush points.
+pub(crate) struct FrameWriter<'m, W> {
+    writer: W,
+    wire: &'m WireMetrics,
+}
+
+impl<'m, W: Write> FrameWriter<'m, W> {
+    /// Count what goes out through `writer` in `wire`.
+    pub(crate) fn new(writer: W, wire: &'m WireMetrics) -> Self {
+        FrameWriter { writer, wire }
+    }
+
+    /// Write one frame and count it.
+    pub(crate) fn write(&mut self, frame: &ControlFrame) -> Result<(), ControlError> {
+        frame.write_to(&mut self.writer)?;
+        self.wire.frames_out.inc();
+        self.wire.per_kind[frame.kind_index()].inc();
+        Ok(())
+    }
+
+    /// Push everything written so far to the peer.
+    pub(crate) fn flush(&mut self) -> Result<(), ControlError> {
+        self.writer.flush().map_err(ControlError::from_io)
+    }
+
+    /// Write one frame and flush it.
+    pub(crate) fn send(&mut self, frame: &ControlFrame) -> Result<(), ControlError> {
+        self.write(frame)?;
+        self.flush()
+    }
+}
+
+/// A server role's answer to each TDRC request kind; [`serve_frames`]
+/// owns the rest of a connection.
+pub(crate) trait RequestHandler {
+    /// Write and flush a `SubmitBatch`'s whole response through `out`.
+    fn submit_batch<W: Write>(
+        &mut self,
+        out: &mut FrameWriter<'_, W>,
+        batch_id: u64,
+        tdrb: Vec<u8>,
+        reference: Option<ReferenceId>,
+    ) -> Result<(), ControlError>;
+
+    /// The `ReferenceAck` answering a `PutReference`.
+    fn put_reference(&mut self, put_id: u64, tdrp: Vec<u8>) -> ControlFrame;
+
+    /// The `BatteryAck` answering a `PutBattery`.
+    fn put_battery(&mut self, put_id: u64, json: String) -> ControlFrame;
+
+    /// The snapshot a `Stats` reply carries.
+    fn stats(&self) -> MetricsSnapshot;
+
+    /// Release per-connection resources once `Shutdown` is acked.
+    fn close(&mut self) {}
+}
+
+/// Serve one TDRC connection for `handler` until the peer hangs up
+/// cleanly or sends `Shutdown`, counting every frame read and written.
+/// Response kinds read as requests, corrupt frames and transport
+/// failures end the connection with a typed [`ControlError`], tallied
+/// under `control_errors` and `control_err_*` in `registry`; a read past
+/// the socket's read deadline is [`ControlError::IdleTimeout`].
+pub(crate) fn serve_frames<H: RequestHandler, R: Read, W: Write>(
+    handler: &mut H,
+    registry: &MetricsRegistry,
+    wire: &WireMetrics,
+    mut reader: R,
+    writer: W,
+) -> Result<(), ControlError> {
+    let mut out = FrameWriter::new(writer, wire);
+    let mut frames_seen = 0u64;
+    let mut serve = || -> Result<(), ControlError> {
+        loop {
+            let frame = match ControlFrame::read_from(&mut reader) {
+                Ok(Some(frame)) => frame,
+                Ok(None) => return Ok(()), // peer hung up cleanly
+                // The read deadline fired (the daemon sets one when it
+                // runs with an idle timeout): the peer stalled.
+                Err(ControlError::Io(io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut, _)) => {
+                    return Err(ControlError::IdleTimeout)
+                }
+                Err(e) => return Err(e),
+            };
+            frames_seen += 1;
+            wire.frames_in.inc();
+            // A response kind read as a request counts only in
+            // `frames_in`: the match below rejects it.
+            if frame.is_request() {
+                wire.per_kind[frame.kind_index()].inc();
+            }
+            let reply = match frame {
+                ControlFrame::SubmitBatch {
+                    batch_id,
+                    tdrb,
+                    reference,
+                } => {
+                    handler.submit_batch(&mut out, batch_id, tdrb, reference)?;
+                    continue;
+                }
+                ControlFrame::PutReference { put_id, tdrp } => handler.put_reference(put_id, tdrp),
+                ControlFrame::PutBattery { put_id, json } => handler.put_battery(put_id, json),
+                ControlFrame::StatsRequest => ControlFrame::Stats {
+                    snapshot: handler.stats(),
+                },
+                ControlFrame::Shutdown => {
+                    let acked = out.send(&ControlFrame::ShutdownAck);
+                    handler.close();
+                    return acked;
+                }
+                other => return Err(ControlError::UnexpectedFrame(other.kind_name())),
+            };
+            out.send(&reply)?;
+        }
+    };
+    let outcome = serve();
+    wire.conn_frames.observe(frames_seen as f64);
+    if let Err(e) = &outcome {
+        // The per-variant counter registers on first use, so a snapshot
+        // names only the variants that actually occurred.
+        wire.control_errors.inc();
+        registry.counter(e.metric_name()).inc();
+    }
+    outcome
 }
 
 #[cfg(test)]

@@ -50,23 +50,25 @@
 //! change scores. The coordinator is the only writer.
 
 use std::collections::BTreeMap;
-use std::io::{self, BufWriter, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 
 use jbc::ReferenceId;
 
 use crate::control::{
-    AckStatus, BatchOutcome, BatteryOutcome, Client, ControlError, ControlFrame, PutOutcome,
+    serve_frames, AckStatus, BatchOutcome, Client, ControlError, ControlFrame, FrameWriter,
+    RequestHandler,
 };
 use crate::ingest;
-use crate::net::{ConnHandler, Listener};
-use crate::obs::{Counter, MetricsRegistry, MetricsSnapshot};
+use crate::net::{counted_socket, ConnHandler, Listener};
+use crate::obs::{Counter, MetricsRegistry, MetricsSnapshot, WireMetrics};
 use crate::verdict::{AuditVerdict, FleetSummary};
 use crate::AuditJob;
 
 /// Per-backend routing tallies, all exported through the Stats plane as
 /// `coord_backend_{i}_*`.
+#[derive(Debug)]
 struct BackendCounters {
     batches: Arc<Counter>,
     sessions: Arc<Counter>,
@@ -77,9 +79,9 @@ struct BackendCounters {
 /// (`conn_*`, kept by the shared listener harness) match the daemon's
 /// names so fleet tooling reads both alike; routing and retry tallies
 /// are `coord_*`.
+#[derive(Debug)]
 struct CoordMetrics {
-    frames_in: Arc<Counter>,
-    frames_out: Arc<Counter>,
+    wire: WireMetrics,
     batches_routed: Arc<Counter>,
     sessions_routed: Arc<Counter>,
     batch_errors: Arc<Counter>,
@@ -93,8 +95,7 @@ struct CoordMetrics {
 impl CoordMetrics {
     fn new(registry: &MetricsRegistry, n_backends: usize) -> Self {
         CoordMetrics {
-            frames_in: registry.counter("frames_in"),
-            frames_out: registry.counter("frames_out"),
+            wire: WireMetrics::register(registry),
             batches_routed: registry.counter("coord_batches_routed"),
             sessions_routed: registry.counter("coord_sessions_routed"),
             batch_errors: registry.counter("coord_batch_errors"),
@@ -115,6 +116,7 @@ impl CoordMetrics {
 
 /// Everything a router thread needs: the backend address list and the
 /// metric set.
+#[derive(Debug)]
 struct CoordShared {
     backends: Vec<String>,
     registry: MetricsRegistry,
@@ -131,14 +133,6 @@ struct CoordShared {
 pub struct Coordinator {
     listener: Listener,
     shared: Arc<CoordShared>,
-}
-
-impl std::fmt::Debug for CoordShared {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CoordShared")
-            .field("backends", &self.backends)
-            .finish_non_exhaustive()
-    }
 }
 
 /// What a coordinator hands back at [`Coordinator::shutdown`]: final
@@ -218,22 +212,39 @@ impl Coordinator {
 
 impl ConnHandler for CoordShared {
     fn serve(&self, stream: &TcpStream, _conn_id: u64) -> Result<(), ControlError> {
-        route_connection(self, stream)
+        let wire = &self.metrics.wire;
+        let (reader, writer) = counted_socket(stream, wire);
+        let backends = self.backends.iter().map(|addr| {
+            let stream = TcpStream::connect(addr).ok()?;
+            let _ = stream.set_nodelay(true);
+            Some(Client::new(stream))
+        });
+        let mut conn = CoordConn {
+            shared: self,
+            backends: backends.collect(),
+            containers: BTreeMap::new(),
+        };
+        // A backend that refuses the dial starts the connection dead
+        // (counted); submissions route around it.
+        for i in 0..conn.backends.len() {
+            if conn.backends[i].is_none() {
+                conn.mark_dead(i);
+            }
+        }
+        serve_frames(&mut conn, &self.registry, wire, reader, writer)
     }
 }
 
 /// One shard's routing state: the original submission indexes and jobs
 /// destined for one backend.
+#[derive(Default)]
 struct Shard {
     indexes: Vec<usize>,
     jobs: Vec<AuditJob>,
 }
 
-/// How a shard submission failed, classified for the routing policy.
+/// A shard failure that moving the shard to another backend cannot fix.
 enum ShardFail {
-    /// The backend is gone (dial/transport failure): mark it dead and
-    /// retry the shard on a survivor.
-    Dead(ControlError),
     /// The backend does not hold the named reference — answered to the
     /// client in-band as an `Unknown` ack, exactly like a single daemon.
     Unknown(ReferenceId),
@@ -246,39 +257,19 @@ enum ShardFail {
     Fatal(ControlError),
 }
 
-fn classify(e: ControlError) -> ShardFail {
+/// Classify a shard submission's error for the routing policy: `None`
+/// when the backend is gone (dial/transport failure) — mark it dead and
+/// retry the shard on a survivor.
+fn classify(e: ControlError) -> Option<ShardFail> {
     match e {
-        ControlError::Io(..) | ControlError::Disconnected | ControlError::Truncated => {
-            ShardFail::Dead(e)
-        }
-        ControlError::UnknownReference(id) => ShardFail::Unknown(id),
+        ControlError::Io(..) | ControlError::Disconnected | ControlError::Truncated => None,
+        ControlError::UnknownReference(id) => Some(ShardFail::Unknown(id)),
         ControlError::ReferenceThrash(_)
         | ControlError::Busy { .. }
         | ControlError::QuotaExceeded { .. }
-        | ControlError::IdleTimeout => ShardFail::InBand(e.to_string()),
-        other => ShardFail::Fatal(other),
+        | ControlError::IdleTimeout => Some(ShardFail::InBand(e.to_string())),
+        other => Some(ShardFail::Fatal(other)),
     }
-}
-
-/// Dial every backend. A backend that refuses the dial starts the
-/// connection dead (counted); submissions route around it.
-fn dial_backends(shared: &CoordShared) -> Vec<Option<Client<TcpStream>>> {
-    shared
-        .backends
-        .iter()
-        .enumerate()
-        .map(|(i, addr)| match TcpStream::connect(addr) {
-            Ok(stream) => {
-                let _ = stream.set_nodelay(true);
-                Some(Client::new(stream))
-            }
-            Err(_) => {
-                shared.metrics.backend_failures.inc();
-                shared.metrics.per_backend[i].failures.inc();
-                None
-            }
-        })
-        .collect()
 }
 
 /// Submit one shard to one backend, re-encoding its jobs as a
@@ -302,439 +293,343 @@ fn submit_shard(
     }
 }
 
-/// The per-connection router loop: read client frames, fan out to the
-/// backends, merge responses. Returns `Err` only for failures that end
-/// this client connection (client-side transport loss, protocol
-/// garbage); batch-scoped failures are answered in-band.
-fn route_connection(shared: &CoordShared, stream: &TcpStream) -> Result<(), ControlError> {
-    let metrics = &shared.metrics;
-    let mut reader = stream;
-    let mut writer = BufWriter::new(stream);
-    let mut backends = dial_backends(shared);
-    // Containers registered through this connection, kept for the
-    // bounded re-put recovery when a backend evicts one mid-stream.
-    let mut containers: BTreeMap<ReferenceId, Vec<u8>> = BTreeMap::new();
-    loop {
-        let frame = match ControlFrame::read_from(&mut reader) {
-            Ok(None) => return Ok(()), // client hung up cleanly
-            Ok(Some(frame)) => frame,
-            Err(e) => return Err(e),
+/// One client connection's routing state: a link to every backend (a
+/// dead one is `None`) and the containers registered through this
+/// connection, kept for the bounded re-put recovery when a backend
+/// evicts one mid-stream.
+struct CoordConn<'a> {
+    shared: &'a CoordShared,
+    backends: Vec<Option<Client<TcpStream>>>,
+    containers: BTreeMap<ReferenceId, Vec<u8>>,
+}
+
+impl RequestHandler for CoordConn<'_> {
+    fn submit_batch<W: Write>(
+        &mut self,
+        out: &mut FrameWriter<'_, W>,
+        batch_id: u64,
+        tdrb: Vec<u8>,
+        reference: Option<ReferenceId>,
+    ) -> Result<(), ControlError> {
+        // Route the batch: decode, shard by `session_id mod N`, submit
+        // shards in parallel, retry dead backends' shards on survivors,
+        // merge.
+        let metrics = &self.shared.metrics;
+        metrics.batches_routed.inc();
+        // The whole TDRB is validated before any routing: a malformed
+        // batch is answered with an `Error` frame and zero verdicts (a
+        // single daemon streams verdicts for the valid prefix first —
+        // §8.2 draws this boundary).
+        let jobs = match ingest::decode_batch(&tdrb) {
+            Ok(jobs) => jobs,
+            Err(e) => return self.batch_error(out, batch_id, e.to_string()),
         };
-        metrics.frames_in.inc();
-        match frame {
-            ControlFrame::SubmitBatch {
-                batch_id,
-                tdrb,
-                reference,
-            } => {
-                route_batch(
-                    shared,
-                    &mut backends,
-                    &containers,
-                    &mut writer,
-                    batch_id,
-                    &tdrb,
-                    reference,
-                )?;
-            }
-            ControlFrame::PutReference { put_id, tdrp } => {
-                metrics.reference_puts.inc();
-                let ack = fan_out_reference(shared, &mut backends, put_id, &tdrp);
-                if let ControlFrame::ReferenceAck {
-                    reference,
-                    status: AckStatus::Loaded | AckStatus::AlreadyResident,
-                    ..
-                } = &ack
-                {
-                    containers.insert(*reference, tdrp);
-                }
-                write_frame(metrics, &mut writer, &ack)?;
-            }
-            ControlFrame::PutBattery { put_id, json } => {
-                metrics.battery_puts.inc();
-                let ack = fan_out_battery(shared, &mut backends, put_id, &json);
-                write_frame(metrics, &mut writer, &ack)?;
-            }
-            ControlFrame::StatsRequest => {
-                write_frame(
-                    metrics,
-                    &mut writer,
-                    &ControlFrame::Stats {
-                        snapshot: shared.registry.snapshot(),
-                    },
-                )?;
-            }
-            ControlFrame::Shutdown => {
-                let write = write_frame(metrics, &mut writer, &ControlFrame::ShutdownAck);
-                // Close the backend links gracefully, best-effort — a
-                // dead backend is already None.
-                for client in backends.iter_mut().filter_map(Option::take) {
-                    let _ = client.shutdown();
-                }
-                return write;
-            }
-            other => return Err(ControlError::UnexpectedFrame(other.kind_name())),
+        metrics.sessions_routed.add(jobs.len() as u64);
+        let n = self.backends.len();
+        let mut shards: Vec<Shard> = (0..n).map(|_| Shard::default()).collect();
+        for (index, job) in jobs.into_iter().enumerate() {
+            let home = (job.session_id % n as u64) as usize;
+            shards[home].indexes.push(index);
+            shards[home].jobs.push(job);
         }
-    }
-}
 
-fn write_frame<W: Write>(
-    metrics: &CoordMetrics,
-    writer: &mut W,
-    frame: &ControlFrame,
-) -> Result<(), ControlError> {
-    frame.write_to(writer)?;
-    writer.flush().map_err(ControlError::from_io)?;
-    metrics.frames_out.inc();
-    Ok(())
-}
+        // Parallel fan-out: every live backend serves its shard at once,
+        // so coordinator latency is the slowest shard, not the sum.
+        let mut results: Vec<Option<Result<BatchOutcome, ControlError>>> =
+            (0..n).map(|_| None).collect();
+        let containers = &self.containers;
+        std::thread::scope(|scope| {
+            for ((backend, shard), slot) in self
+                .backends
+                .iter_mut()
+                .zip(&shards)
+                .zip(results.iter_mut())
+            {
+                if shard.jobs.is_empty() {
+                    continue;
+                }
+                let Some(client) = backend.as_mut() else {
+                    continue; // already dead: handled by the retry pass
+                };
+                scope.spawn(move || {
+                    *slot = Some(submit_shard(
+                        client,
+                        batch_id,
+                        &shard.jobs,
+                        reference,
+                        containers,
+                    ));
+                });
+            }
+        });
 
-/// Route one `SubmitBatch`: decode, shard by `session_id mod N`, submit
-/// shards in parallel, retry dead backends' shards on survivors, merge.
-fn route_batch<W: Write>(
-    shared: &CoordShared,
-    backends: &mut [Option<Client<TcpStream>>],
-    containers: &BTreeMap<ReferenceId, Vec<u8>>,
-    writer: &mut W,
-    batch_id: u64,
-    tdrb: &[u8],
-    reference: Option<ReferenceId>,
-) -> Result<(), ControlError> {
-    let metrics = &shared.metrics;
-    metrics.batches_routed.inc();
-    // The whole TDRB is validated before any routing: a malformed batch
-    // is answered with an `Error` frame and zero verdicts (a single
-    // daemon streams verdicts for the valid prefix first — §8.2 draws
-    // this boundary).
-    let jobs = match ingest::decode_batch(tdrb) {
-        Ok(jobs) => jobs,
-        Err(e) => {
-            metrics.batch_errors.inc();
-            return write_frame(
-                metrics,
-                writer,
-                &ControlFrame::Error {
-                    batch_id,
-                    message: e.to_string(),
-                },
-            );
-        }
-    };
-    metrics.sessions_routed.add(jobs.len() as u64);
-    let n = backends.len();
-    let mut shards: Vec<Shard> = (0..n)
-        .map(|_| Shard {
-            indexes: Vec::new(),
-            jobs: Vec::new(),
-        })
-        .collect();
-    for (index, job) in jobs.into_iter().enumerate() {
-        let home = (job.session_id % n as u64) as usize;
-        shards[home].indexes.push(index);
-        shards[home].jobs.push(job);
-    }
-
-    // Parallel fan-out: every live backend serves its shard at once, so
-    // coordinator latency is the slowest shard, not the sum.
-    let mut results: Vec<Option<Result<BatchOutcome, ControlError>>> = Vec::with_capacity(n);
-    results.resize_with(n, || None);
-    std::thread::scope(|scope| {
-        for ((backend, shard), slot) in backends.iter_mut().zip(&shards).zip(results.iter_mut()) {
-            if shard.jobs.is_empty() {
+        // Collect, marking dead backends and queueing their shards.
+        let mut outcomes: Vec<Option<BatchOutcome>> = (0..n).map(|_| None).collect();
+        let mut needs_retry: Vec<usize> = Vec::new();
+        for i in 0..n {
+            if shards[i].jobs.is_empty() {
                 continue;
             }
-            let Some(client) = backend.as_mut() else {
-                continue; // already dead: handled by the retry pass
+            let Some(result) = results[i].take() else {
+                needs_retry.push(i); // backend was dead before the batch
+                continue;
             };
-            scope.spawn(move || {
-                *slot = Some(submit_shard(
+            match self.settle(i, shards[i].jobs.len(), result) {
+                Ok(Some(outcome)) => outcomes[i] = Some(outcome),
+                Ok(None) => needs_retry.push(i),
+                Err(fail) => return self.answer_shard_fail(out, batch_id, fail),
+            }
+        }
+
+        // Bounded retry: each dead backend's shard moves, whole, to the
+        // first survivor that takes it. Partial verdicts from the dead
+        // backend were discarded above, so no session can double-report.
+        for i in needs_retry {
+            for j in 0..n {
+                let Some(client) = self.backends[j].as_mut() else {
+                    continue;
+                };
+                self.shared.metrics.retries.inc();
+                let result = submit_shard(
                     client,
                     batch_id,
-                    &shard.jobs,
+                    &shards[i].jobs,
                     reference,
-                    containers,
-                ));
-            });
-        }
-    });
-
-    // Collect, marking dead backends and queueing their shards.
-    let mut outcomes: Vec<Option<BatchOutcome>> = (0..n).map(|_| None).collect();
-    let mut needs_retry: Vec<usize> = Vec::new();
-    for i in 0..n {
-        if shards[i].jobs.is_empty() {
-            continue;
-        }
-        match results[i].take() {
-            Some(Ok(outcome)) => {
-                metrics.per_backend[i].batches.inc();
-                metrics.per_backend[i]
-                    .sessions
-                    .add(shards[i].jobs.len() as u64);
-                outcomes[i] = Some(outcome);
-            }
-            Some(Err(e)) => match classify(e) {
-                ShardFail::Dead(_) => {
-                    backends[i] = None;
-                    metrics.backend_failures.inc();
-                    metrics.per_backend[i].failures.inc();
-                    needs_retry.push(i);
-                }
-                fail => return answer_shard_fail(shared, writer, batch_id, fail),
-            },
-            None => needs_retry.push(i), // backend was dead before the batch
-        }
-    }
-
-    // Bounded retry: each dead backend's shard moves, whole, to the
-    // first survivor that takes it. Partial verdicts from the dead
-    // backend were discarded above, so no session can double-report.
-    for i in needs_retry {
-        let mut served = false;
-        for (j, backend) in backends.iter_mut().enumerate() {
-            let Some(client) = backend.as_mut() else {
-                continue;
-            };
-            metrics.retries.inc();
-            match submit_shard(client, batch_id, &shards[i].jobs, reference, containers) {
-                Ok(outcome) => {
-                    metrics.per_backend[j].batches.inc();
-                    metrics.per_backend[j]
-                        .sessions
-                        .add(shards[i].jobs.len() as u64);
-                    outcomes[i] = Some(outcome);
-                    served = true;
-                    break;
-                }
-                Err(e) => match classify(e) {
-                    ShardFail::Dead(_) => {
-                        *backend = None;
-                        metrics.backend_failures.inc();
-                        metrics.per_backend[j].failures.inc();
+                    &self.containers,
+                );
+                match self.settle(j, shards[i].jobs.len(), result) {
+                    Ok(Some(outcome)) => {
+                        outcomes[i] = Some(outcome);
+                        break;
                     }
-                    fail => return answer_shard_fail(shared, writer, batch_id, fail),
-                },
+                    Ok(None) => {}
+                    Err(fail) => return self.answer_shard_fail(out, batch_id, fail),
+                }
+            }
+            if outcomes[i].is_none() {
+                let message = format!(
+                    "backend {} died mid-batch and no survivor could take its shard",
+                    self.shared.backends[i]
+                );
+                return self.batch_error(out, batch_id, message);
             }
         }
-        if !served {
-            metrics.batch_errors.inc();
-            return write_frame(
-                metrics,
-                writer,
-                &ControlFrame::Error {
-                    batch_id,
-                    message: format!(
-                        "backend {} died mid-batch and no survivor could take its shard",
-                        shared.backends[i]
-                    ),
-                },
-            );
-        }
-    }
 
-    // Merge: reunite the shard outcomes under the original submission
-    // indexes and re-derive the summary from the union — the pure
-    // order-insensitive aggregation the module docs lean on.
-    let mut indexed: Vec<(usize, AuditVerdict)> = Vec::new();
-    let mut workers = 0u64;
-    let mut peak_resident = 0u64;
-    for (i, slot) in outcomes.into_iter().enumerate() {
-        let Some(outcome) = slot else { continue };
-        match outcome.result {
-            Ok(summary) => {
-                workers += summary.workers;
-                peak_resident = peak_resident.max(summary.peak_resident);
-            }
-            Err(message) => {
+        // Merge: reunite the shard outcomes under the original submission
+        // indexes and re-derive the summary from the union — the pure
+        // order-insensitive aggregation the module docs lean on.
+        let mut indexed: Vec<(usize, AuditVerdict)> = Vec::new();
+        let mut workers = 0u64;
+        let mut peak_resident = 0u64;
+        for (i, slot) in outcomes.into_iter().enumerate() {
+            let Some(outcome) = slot else { continue };
+            match outcome.result {
+                Ok(summary) => {
+                    workers += summary.workers;
+                    peak_resident = peak_resident.max(summary.peak_resident);
+                }
                 // The backend audited the shard and reported an in-band
                 // batch error; relay it (the shard TDRB came from our own
                 // encoder, so this is a backend-side failure, not input).
-                metrics.batch_errors.inc();
-                return write_frame(metrics, writer, &ControlFrame::Error { batch_id, message });
+                Err(message) => return self.batch_error(out, batch_id, message),
             }
+            if outcome.verdicts.len() != shards[i].indexes.len() {
+                let message = format!(
+                    "backend returned {} verdicts for a {}-session shard",
+                    outcome.verdicts.len(),
+                    shards[i].indexes.len()
+                );
+                return self.batch_error(out, batch_id, message);
+            }
+            indexed.extend(shards[i].indexes.iter().copied().zip(outcome.verdicts));
         }
-        if outcome.verdicts.len() != shards[i].indexes.len() {
-            metrics.batch_errors.inc();
-            return write_frame(
-                metrics,
-                writer,
-                &ControlFrame::Error {
-                    batch_id,
-                    message: format!(
-                        "backend returned {} verdicts for a {}-session shard",
-                        outcome.verdicts.len(),
-                        shards[i].indexes.len()
-                    ),
-                },
-            );
+        indexed.sort_by_key(|&(index, _)| index);
+        // The merged verdicts go out unflushed; the Summary's flush pushes
+        // the whole batch at once.
+        for (index, verdict) in &indexed {
+            out.write(&ControlFrame::Verdict {
+                batch_id,
+                index: *index as u64,
+                verdict: verdict.clone(),
+            })?;
         }
-        indexed.extend(shards[i].indexes.iter().copied().zip(outcome.verdicts));
-    }
-    indexed.sort_by_key(|&(index, _)| index);
-    for (index, verdict) in &indexed {
-        ControlFrame::Verdict {
-            batch_id,
-            index: *index as u64,
-            verdict: verdict.clone(),
-        }
-        .write_to(writer)?;
-        metrics.frames_out.inc();
-    }
-    let verdicts: Vec<AuditVerdict> = indexed.into_iter().map(|(_, v)| v).collect();
-    let summary = FleetSummary::from_verdicts(&verdicts);
-    write_frame(
-        metrics,
-        writer,
-        &ControlFrame::Summary {
+        let verdicts: Vec<AuditVerdict> = indexed.into_iter().map(|(_, v)| v).collect();
+        out.send(&ControlFrame::Summary {
             batch_id,
             workers,
             peak_resident,
-            summary,
-        },
-    )
+            summary: FleetSummary::from_verdicts(&verdicts),
+        })
+    }
+
+    /// Fan out to every live backend and merge the acks: any rejection
+    /// wins; otherwise the content-derived ids must agree, the status is
+    /// `AlreadyResident` only if every backend already held it, and
+    /// `resident_bytes` sums across the fleet.
+    fn put_reference(&mut self, put_id: u64, tdrp: Vec<u8>) -> ControlFrame {
+        self.shared.metrics.reference_puts.inc();
+        let acks = self.ask_all(|client| client.put_reference(put_id, tdrp.clone()));
+        let rejected = |status: AckStatus| ControlFrame::ReferenceAck {
+            put_id,
+            reference: ReferenceId([0u8; 32]),
+            status,
+            resident_bytes: 0,
+        };
+        if let Some(status) = refusal(acks.iter().map(|a| &a.status)) {
+            return rejected(status);
+        }
+        let reference = acks[0].reference;
+        if acks.iter().any(|a| a.reference != reference) {
+            // Content addressing makes this impossible for honest backends.
+            return rejected(AckStatus::Rejected(
+                "backends disagree on the content-derived id".to_string(),
+            ));
+        }
+        let status = if acks.iter().all(|a| a.status == AckStatus::AlreadyResident) {
+            AckStatus::AlreadyResident
+        } else {
+            AckStatus::Loaded
+        };
+        self.containers.insert(reference, tdrp);
+        ControlFrame::ReferenceAck {
+            put_id,
+            reference,
+            status,
+            resident_bytes: acks.iter().map(|a| a.resident_bytes).sum(),
+        }
+    }
+
+    /// Fan out to every live backend: any rejection wins; otherwise the
+    /// reported generation is the **minimum** across backends — the
+    /// floor every backend is guaranteed to have reached.
+    fn put_battery(&mut self, put_id: u64, json: String) -> ControlFrame {
+        self.shared.metrics.battery_puts.inc();
+        let acks = self.ask_all(|client| client.put_battery(put_id, json.clone()));
+        if let Some(status) = refusal(acks.iter().map(|a| &a.status)) {
+            return ControlFrame::BatteryAck {
+                put_id,
+                generation: 0,
+                status,
+            };
+        }
+        ControlFrame::BatteryAck {
+            put_id,
+            generation: acks.iter().map(|a| a.generation).min().unwrap_or(0),
+            status: AckStatus::Loaded,
+        }
+    }
+
+    fn stats(&self) -> MetricsSnapshot {
+        self.shared.registry.snapshot()
+    }
+
+    /// Close the backend links gracefully, best-effort — a dead backend
+    /// is already `None`.
+    fn close(&mut self) {
+        for client in self.backends.iter_mut().filter_map(Option::take) {
+            let _ = client.shutdown();
+        }
+    }
 }
 
-/// Answer a non-retryable shard failure in-band, exactly as a single
-/// daemon would: an `Unknown` reference gets a `ReferenceAck`, refusals
-/// get an `Error` frame, protocol violations end the connection.
-fn answer_shard_fail<W: Write>(
-    shared: &CoordShared,
-    writer: &mut W,
-    batch_id: u64,
-    fail: ShardFail,
-) -> Result<(), ControlError> {
-    let metrics = &shared.metrics;
-    match fail {
-        ShardFail::Unknown(reference) => write_frame(
-            metrics,
-            writer,
-            &ControlFrame::ReferenceAck {
+impl CoordConn<'_> {
+    /// Mark backend `i` dead for the rest of this client connection and
+    /// count the failure.
+    fn mark_dead(&mut self, i: usize) {
+        self.backends[i] = None;
+        self.shared.metrics.backend_failures.inc();
+        self.shared.metrics.per_backend[i].failures.inc();
+    }
+
+    /// Settle one shard submission's result on backend `j`: tally the
+    /// served shard, or mark `j` dead (`Ok(None)`: move the shard to a
+    /// survivor), or hand back a failure no retry can fix.
+    fn settle(
+        &mut self,
+        j: usize,
+        sessions: usize,
+        result: Result<BatchOutcome, ControlError>,
+    ) -> Result<Option<BatchOutcome>, ShardFail> {
+        match result {
+            Ok(outcome) => {
+                let tally = &self.shared.metrics.per_backend[j];
+                tally.batches.inc();
+                tally.sessions.add(sessions as u64);
+                Ok(Some(outcome))
+            }
+            Err(e) => match classify(e) {
+                None => {
+                    self.mark_dead(j);
+                    Ok(None)
+                }
+                Some(fail) => Err(fail),
+            },
+        }
+    }
+
+    /// Answer a batch with an in-band `Error` frame, counted as a batch
+    /// error.
+    fn batch_error<W: Write>(
+        &self,
+        out: &mut FrameWriter<'_, W>,
+        batch_id: u64,
+        message: String,
+    ) -> Result<(), ControlError> {
+        self.shared.metrics.batch_errors.inc();
+        out.send(&ControlFrame::Error { batch_id, message })
+    }
+
+    /// Answer a non-retryable shard failure in-band, exactly as a single
+    /// daemon would: an `Unknown` reference gets a `ReferenceAck`,
+    /// refusals get an `Error` frame, protocol violations end the
+    /// connection.
+    fn answer_shard_fail<W: Write>(
+        &self,
+        out: &mut FrameWriter<'_, W>,
+        batch_id: u64,
+        fail: ShardFail,
+    ) -> Result<(), ControlError> {
+        match fail {
+            ShardFail::Unknown(reference) => out.send(&ControlFrame::ReferenceAck {
                 put_id: batch_id,
                 reference,
                 status: AckStatus::Unknown,
                 // Residency is backend-local; a coordinator reports 0
                 // here (§8.3).
                 resident_bytes: 0,
-            },
-        ),
-        ShardFail::InBand(message) => {
-            metrics.batch_errors.inc();
-            write_frame(metrics, writer, &ControlFrame::Error { batch_id, message })
+            }),
+            ShardFail::InBand(message) => self.batch_error(out, batch_id, message),
+            ShardFail::Fatal(e) => Err(e),
         }
-        ShardFail::Fatal(e) => Err(e),
-        ShardFail::Dead(e) => Err(e), // unreachable by construction
+    }
+
+    /// Ask every live backend, marking each whose link fails dead; the
+    /// answers of the rest, in backend order.
+    fn ask_all<T>(
+        &mut self,
+        mut ask: impl FnMut(&mut Client<TcpStream>) -> Result<T, ControlError>,
+    ) -> Vec<T> {
+        let mut answers = Vec::new();
+        for i in 0..self.backends.len() {
+            let Some(client) = self.backends[i].as_mut() else {
+                continue;
+            };
+            match ask(client) {
+                Ok(answer) => answers.push(answer),
+                Err(_) => self.mark_dead(i),
+            }
+        }
+        answers
     }
 }
 
-/// Fan a `PutReference` out to every live backend and merge the acks:
-/// any rejection wins; otherwise the content-derived ids must agree,
-/// the status is `AlreadyResident` only if every backend already held
-/// it, and `resident_bytes` sums across the fleet.
-fn fan_out_reference(
-    shared: &CoordShared,
-    backends: &mut [Option<Client<TcpStream>>],
-    put_id: u64,
-    tdrp: &[u8],
-) -> ControlFrame {
-    let mut acks: Vec<PutOutcome> = Vec::new();
-    for (i, backend) in backends.iter_mut().enumerate() {
-        let Some(client) = backend.as_mut() else {
-            continue;
-        };
-        match client.put_reference(put_id, tdrp.to_vec()) {
-            Ok(outcome) => acks.push(outcome),
-            Err(_) => {
-                *backend = None;
-                shared.metrics.backend_failures.inc();
-                shared.metrics.per_backend[i].failures.inc();
-            }
-        }
+/// The status a fan-out answers with when it cannot succeed: no backend
+/// answered, or the first backend rejection.
+fn refusal<'a>(mut statuses: impl ExactSizeIterator<Item = &'a AckStatus>) -> Option<AckStatus> {
+    if statuses.len() == 0 {
+        return Some(AckStatus::Rejected("no live backends".to_string()));
     }
-    if acks.is_empty() {
-        return ControlFrame::ReferenceAck {
-            put_id,
-            reference: ReferenceId([0u8; 32]),
-            status: AckStatus::Rejected("no live backends".to_string()),
-            resident_bytes: 0,
-        };
-    }
-    if let Some(rejected) = acks
-        .iter()
-        .find(|a| matches!(a.status, AckStatus::Rejected(_)))
-    {
-        return ControlFrame::ReferenceAck {
-            put_id,
-            reference: ReferenceId([0u8; 32]),
-            status: rejected.status.clone(),
-            resident_bytes: 0,
-        };
-    }
-    let reference = acks[0].reference;
-    if acks.iter().any(|a| a.reference != reference) {
-        // Content addressing makes this impossible for honest backends.
-        return ControlFrame::ReferenceAck {
-            put_id,
-            reference: ReferenceId([0u8; 32]),
-            status: AckStatus::Rejected("backends disagree on the content-derived id".to_string()),
-            resident_bytes: 0,
-        };
-    }
-    let status = if acks.iter().all(|a| a.status == AckStatus::AlreadyResident) {
-        AckStatus::AlreadyResident
-    } else {
-        AckStatus::Loaded
-    };
-    ControlFrame::ReferenceAck {
-        put_id,
-        reference,
-        status,
-        resident_bytes: acks.iter().map(|a| a.resident_bytes).sum(),
-    }
-}
-
-/// Fan a `PutBattery` out to every live backend: any rejection wins;
-/// otherwise the reported generation is the **minimum** across backends
-/// — the floor every backend is guaranteed to have reached.
-fn fan_out_battery(
-    shared: &CoordShared,
-    backends: &mut [Option<Client<TcpStream>>],
-    put_id: u64,
-    json: &str,
-) -> ControlFrame {
-    let mut acks: Vec<BatteryOutcome> = Vec::new();
-    for (i, backend) in backends.iter_mut().enumerate() {
-        let Some(client) = backend.as_mut() else {
-            continue;
-        };
-        match client.put_battery(put_id, json.to_string()) {
-            Ok(outcome) => acks.push(outcome),
-            Err(_) => {
-                *backend = None;
-                shared.metrics.backend_failures.inc();
-                shared.metrics.per_backend[i].failures.inc();
-            }
-        }
-    }
-    if acks.is_empty() {
-        return ControlFrame::BatteryAck {
-            put_id,
-            generation: 0,
-            status: AckStatus::Rejected("no live backends".to_string()),
-        };
-    }
-    if let Some(rejected) = acks
-        .iter()
-        .find(|a| matches!(a.status, AckStatus::Rejected(_)))
-    {
-        return ControlFrame::BatteryAck {
-            put_id,
-            generation: 0,
-            status: rejected.status.clone(),
-        };
-    }
-    ControlFrame::BatteryAck {
-        put_id,
-        generation: acks.iter().map(|a| a.generation).min().unwrap_or(0),
-        status: AckStatus::Loaded,
-    }
+    statuses
+        .find(|status| matches!(status, AckStatus::Rejected(_)))
+        .cloned()
 }

@@ -55,19 +55,19 @@
 //! daemon serving, with verdict bytes identical to the in-memory duplex
 //! path and to in-process submission.
 
-use std::io::{self, BufWriter};
+use std::io::{self, BufWriter, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::control::{BusyScope, ControlError, ControlFrame};
+use crate::control::{BusyScope, ControlError, ControlFrame, FrameWriter};
 use crate::obs::{
     Counter, CountingRead, CountingWrite, Gauge, MetricsRegistry, MetricsSnapshot, ServiceMetrics,
-    TraceKind,
+    TraceKind, WireMetrics,
 };
-use crate::service::{send, AuditService, TenantQuota};
+use crate::service::{AuditService, TenantQuota};
 
 // ---------------------------------------------------------------------------
 // The listener harness
@@ -274,6 +274,19 @@ fn accept_loop<H: ConnHandler>(
     }
 }
 
+/// The counted, buffered ends of a server-side socket, for both roles:
+/// bytes are tallied in `bytes_in` / `bytes_out`, and writes collect in a
+/// buffer until the serve loop flushes.
+pub(crate) fn counted_socket<'s>(
+    stream: &'s TcpStream,
+    wire: &WireMetrics,
+) -> (impl Read + 's, impl Write + 's) {
+    (
+        CountingRead::new(stream, Arc::clone(&wire.bytes_in)),
+        CountingWrite::new(BufWriter::new(stream), Arc::clone(&wire.bytes_out)),
+    )
+}
+
 /// One connection's lifetime: serve it, count the outcome, close it.
 fn serve_connection<H: ConnHandler>(handler: &H, ledger: &Ledger, stream: TcpStream, conn_id: u64) {
     // Verdict frames are small and latency matters for the submit→verdict
@@ -389,8 +402,7 @@ impl ConnHandler for DaemonConns {
             // which the serve loop classifies as `ControlError::IdleTimeout`.
             let _ = stream.set_read_timeout(Some(deadline));
         }
-        let reader = CountingRead::new(stream, Arc::clone(&metrics.bytes_in));
-        let writer = CountingWrite::new(BufWriter::new(stream), Arc::clone(&metrics.bytes_out));
+        let (reader, writer) = counted_socket(stream, &metrics.wire);
         // The connection id is the tenant id: submissions from this peer
         // are round-robin scheduled against other connections' work and
         // metered under `tenant_{conn_id}_*`.
@@ -441,14 +453,13 @@ pub fn serve_tcp_with(
 /// and let the caller close the socket. Best-effort write: a peer that
 /// already vanished is shed all the same.
 fn shed_connection(stream: &TcpStream, metrics: &ServiceMetrics, active: u64, cap: u64) {
-    let mut writer = CountingWrite::new(BufWriter::new(stream), Arc::clone(&metrics.bytes_out));
-    let busy = ControlFrame::Busy {
+    let (_, writer) = counted_socket(stream, &metrics.wire);
+    let _ = FrameWriter::new(writer, &metrics.wire).send(&ControlFrame::Busy {
         batch_id: 0,
         scope: BusyScope::Connections,
         active,
         limit: cap,
-    };
-    let _ = send(metrics, &mut writer, &busy, &metrics.frames_out_busy);
+    });
     metrics.conn_shed.inc();
     metrics.trace(TraceKind::ConnShed, active, cap);
 }

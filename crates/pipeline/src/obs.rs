@@ -39,6 +39,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use crate::control::FRAME_KIND_COUNTERS;
+
 // ---------------------------------------------------------------------------
 // Handles
 // ---------------------------------------------------------------------------
@@ -528,7 +530,7 @@ impl TraceRing {
 // ---------------------------------------------------------------------------
 
 /// A `Read` adapter adding every byte read to a [`Counter`]
-/// (`bytes_in` on the daemon's connections).
+/// (`bytes_in` on a server's connections).
 #[derive(Debug)]
 pub struct CountingRead<R> {
     inner: R,
@@ -551,7 +553,7 @@ impl<R: Read> Read for CountingRead<R> {
 }
 
 /// A `Write` adapter adding every byte written to a [`Counter`]
-/// (`bytes_out` on the daemon's connections).
+/// (`bytes_out` on a server's connections).
 #[derive(Debug)]
 pub struct CountingWrite<W> {
     inner: W,
@@ -574,6 +576,45 @@ impl<W: Write> Write for CountingWrite<W> {
 
     fn flush(&mut self) -> io::Result<()> {
         self.inner.flush()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// TDRC traffic metrics
+// ---------------------------------------------------------------------------
+
+/// The TDRC traffic metrics both server roles register under the same
+/// names and the one server loop (`control::serve_frames`) records:
+/// frame totals, one counter per frame kind, bytes moved, frames per
+/// connection, and control-error tallies.
+#[derive(Debug)]
+pub(crate) struct WireMetrics {
+    pub(crate) frames_in: Arc<Counter>,
+    pub(crate) frames_out: Arc<Counter>,
+    /// One counter per frame kind, indexed by `ControlFrame::kind_index`
+    /// (names in [`FRAME_KIND_COUNTERS`]).
+    pub(crate) per_kind: Vec<Arc<Counter>>,
+    pub(crate) bytes_in: Arc<Counter>,
+    pub(crate) bytes_out: Arc<Counter>,
+    pub(crate) conn_frames: Arc<Histogram>,
+    pub(crate) control_errors: Arc<Counter>,
+}
+
+impl WireMetrics {
+    /// Register every traffic metric in `r`.
+    pub(crate) fn register(r: &MetricsRegistry) -> Self {
+        WireMetrics {
+            frames_in: r.counter("frames_in"),
+            frames_out: r.counter("frames_out"),
+            per_kind: FRAME_KIND_COUNTERS
+                .iter()
+                .map(|name| r.counter(name))
+                .collect(),
+            bytes_in: r.counter("bytes_in"),
+            bytes_out: r.counter("bytes_out"),
+            conn_frames: r.histogram("conn_frames", &CONN_FRAMES_EDGES),
+            control_errors: r.counter("control_errors"),
+        }
     }
 }
 
@@ -633,28 +674,10 @@ pub struct ServiceMetrics {
     pub(crate) conn_errors: Arc<Counter>,
     pub(crate) conn_idle_timeout: Arc<Counter>,
     pub(crate) conn_shed: Arc<Counter>,
-    pub(crate) bytes_in: Arc<Counter>,
-    pub(crate) bytes_out: Arc<Counter>,
-    pub(crate) conn_frames: Arc<Histogram>,
 
-    // control.rs serve loop — frame traffic
-    pub(crate) frames_in: Arc<Counter>,
-    pub(crate) frames_out: Arc<Counter>,
-    pub(crate) frames_in_submit_batch: Arc<Counter>,
-    pub(crate) frames_in_stats_request: Arc<Counter>,
-    pub(crate) frames_in_shutdown: Arc<Counter>,
-    pub(crate) frames_in_put_reference: Arc<Counter>,
-    pub(crate) frames_in_put_battery: Arc<Counter>,
-    pub(crate) frames_out_verdict: Arc<Counter>,
-    pub(crate) frames_out_summary: Arc<Counter>,
-    pub(crate) frames_out_error: Arc<Counter>,
-    pub(crate) frames_out_shutdown_ack: Arc<Counter>,
-    pub(crate) frames_out_stats: Arc<Counter>,
-    pub(crate) frames_out_busy: Arc<Counter>,
-    pub(crate) frames_out_reference_ack: Arc<Counter>,
-    pub(crate) frames_out_battery_ack: Arc<Counter>,
+    // control.rs serve loop — frame and byte traffic, control errors
+    pub(crate) wire: WireMetrics,
     pub(crate) quota_rejections: Arc<Counter>,
-    pub(crate) control_errors: Arc<Counter>,
 
     // registry.rs — reference-program registry
     pub(crate) registry_loads: Arc<Counter>,
@@ -703,26 +726,8 @@ impl ServiceMetrics {
             conn_errors: r.counter("conn_errors"),
             conn_idle_timeout: r.counter("conn_idle_timeout"),
             conn_shed: r.counter("conn_shed"),
-            bytes_in: r.counter("bytes_in"),
-            bytes_out: r.counter("bytes_out"),
-            conn_frames: r.histogram("conn_frames", &CONN_FRAMES_EDGES),
-            frames_in: r.counter("frames_in"),
-            frames_out: r.counter("frames_out"),
-            frames_in_submit_batch: r.counter("frames_in_submit_batch"),
-            frames_in_stats_request: r.counter("frames_in_stats_request"),
-            frames_in_shutdown: r.counter("frames_in_shutdown"),
-            frames_in_put_reference: r.counter("frames_in_put_reference"),
-            frames_in_put_battery: r.counter("frames_in_put_battery"),
-            frames_out_verdict: r.counter("frames_out_verdict"),
-            frames_out_summary: r.counter("frames_out_summary"),
-            frames_out_error: r.counter("frames_out_error"),
-            frames_out_shutdown_ack: r.counter("frames_out_shutdown_ack"),
-            frames_out_stats: r.counter("frames_out_stats"),
-            frames_out_busy: r.counter("frames_out_busy"),
-            frames_out_reference_ack: r.counter("frames_out_reference_ack"),
-            frames_out_battery_ack: r.counter("frames_out_battery_ack"),
+            wire: WireMetrics::register(&r),
             quota_rejections: r.counter("quota_rejections"),
-            control_errors: r.counter("control_errors"),
             registry_loads: r.counter("registry_loads"),
             registry_verify_failures: r.counter("registry_verify_failures"),
             registry_hits: r.counter("registry_hits"),
@@ -756,14 +761,6 @@ impl ServiceMetrics {
     pub fn snapshot(&self) -> MetricsSnapshot {
         self.uptime_seconds.set(self.epoch.elapsed().as_secs_f64());
         self.registry.snapshot()
-    }
-
-    /// Tally a typed control error: the `control_errors` total plus a
-    /// per-variant `control_err_*` counter (registered on first use, so
-    /// snapshots only name variants that actually occurred).
-    pub(crate) fn record_control_error(&self, err: &crate::ControlError) {
-        self.control_errors.inc();
-        self.registry.counter(err.metric_name()).inc();
     }
 }
 

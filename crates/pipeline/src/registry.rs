@@ -16,10 +16,6 @@
 //!   only after the container opens (length/CRC/digest/canonicality) and
 //!   the bytecode passes [`jbc::verify()`]. Nothing unverified is ever
 //!   handed to a replay worker.
-//! * **Warm cache pools.** Each entry keeps a pool of
-//!   [`ReferenceCache`]s, so a worker auditing against a registered
-//!   reference checks a warm cache out and returns it instead of
-//!   rebuilding detector state per session.
 //! * **Pinned LRU eviction.** Residency is bounded by a byte budget;
 //!   when it overflows, the least-recently-used *idle* entry is evicted.
 //!   In-flight batches pin their entry ([`PinnedReference`], an RAII
@@ -49,7 +45,6 @@ use std::sync::{Arc, Mutex};
 use jbc::container::{self, ContainerError};
 use jbc::{ReferenceId, VerifyError};
 
-use crate::cache::ReferenceCache;
 use crate::obs::{Counter, Gauge, ServiceMetrics};
 use crate::Reference;
 
@@ -93,7 +88,7 @@ pub struct RegistryLoad {
     pub resident_bytes: u64,
 }
 
-/// One resident reference: the verified program plus its warm cache pool.
+/// One resident reference: the verified program and its residency state.
 #[derive(Debug)]
 pub struct ReferenceEntry {
     id: ReferenceId,
@@ -106,8 +101,6 @@ pub struct ReferenceEntry {
     /// Registry tick of the last load/checkout touching this entry (the
     /// LRU ordering key; ticks are unique, so LRU order is total).
     last_used: AtomicU64,
-    /// Warm worker caches, checked out for one audit at a time.
-    pool: Mutex<Vec<ReferenceCache>>,
 }
 
 impl ReferenceEntry {
@@ -140,27 +133,6 @@ impl PinnedReference {
     /// The pinned entry.
     pub fn entry(&self) -> &ReferenceEntry {
         &self.entry
-    }
-
-    /// Check a warm [`ReferenceCache`] out of the entry's pool (building
-    /// a fresh one on a cold pool). Pair with
-    /// [`return_cache`](Self::return_cache).
-    pub(crate) fn checkout_cache(&self) -> ReferenceCache {
-        self.entry
-            .pool
-            .lock()
-            .expect("reference pool lock")
-            .pop()
-            .unwrap_or_else(|| ReferenceCache::new(&self.entry.reference))
-    }
-
-    /// Return a cache to the pool for the next audit against this entry.
-    pub(crate) fn return_cache(&self, cache: ReferenceCache) {
-        self.entry
-            .pool
-            .lock()
-            .expect("reference pool lock")
-            .push(cache);
     }
 }
 
@@ -292,7 +264,6 @@ impl ReferenceRegistry {
             cost,
             pins: AtomicU64::new(0),
             last_used: AtomicU64::new(tick),
-            pool: Mutex::new(Vec::new()),
         });
         s.entries.insert(id, entry);
         s.resident += cost;

@@ -51,7 +51,7 @@
 //! test suite pins warm-service resubmission byte-identical to a fresh
 //! service.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -64,7 +64,9 @@ use replay::codec::wire;
 use jbc::ReferenceId;
 
 use crate::cache::ReferenceCache;
-use crate::control::{AckStatus, BusyScope, ControlError, ControlFrame};
+use crate::control::{
+    serve_frames, AckStatus, BusyScope, ControlError, ControlFrame, FrameWriter, RequestHandler,
+};
 use crate::ingest::{BatchStream, IngestError};
 use crate::obs::{Counter, Gauge, MetricsSnapshot, ServiceMetrics, TraceEvent, TraceKind};
 use crate::registry::{
@@ -456,20 +458,17 @@ fn worker_main(worker: u64, shared: Arc<Shared>, queue: Arc<WorkQueue>) {
         shared.metrics.in_flight_jobs.inc();
         let started = Instant::now();
         let verdict = match &reference {
-            // Registry submission: audit on a warm cache from the pinned
-            // entry's pool. Registered references ship no battery, so
-            // they score TDR-only regardless of the service-wide mode;
-            // threshold and seed derivation come from the service
-            // configuration as usual.
+            // Registry submission: audit on a cache built from the pinned
+            // entry (a few `Arc` clones). Registered references ship no
+            // battery, so they score TDR-only regardless of the
+            // service-wide mode; threshold and seed derivation come from
+            // the service configuration as usual.
             Some(pin) => {
-                let mut ref_cache = pin.checkout_cache();
                 let cfg = AuditConfig {
                     battery: BatteryMode::TdrOnly,
                     ..shared.cfg
                 };
-                let verdict = ref_cache.audit(source.job(), &cfg);
-                pin.return_cache(ref_cache);
-                verdict
+                ReferenceCache::new(pin.entry().reference()).audit(source.job(), &cfg)
             }
             None => {
                 cache.set_battery(battery);
@@ -807,10 +806,8 @@ impl AuditService {
         if !battery.is_trained() {
             return Err("battery is untrained".to_string());
         }
-        if self.shared.reference.battery.is_none() {
-            return Err(
-                "service scores TDR-only (built without a battery); install refused".to_string(),
-            );
+        if self.shared.cfg.battery != BatteryMode::Full {
+            return Err("service scores TDR-only; battery install refused".to_string());
         }
         let mut guard = self.shared.battery.lock().expect("battery lock");
         *guard = Some(Arc::new(battery));
@@ -972,202 +969,99 @@ impl AuditService {
     /// per-tenant metrics (it is the in-process submitter's id).
     pub fn serve_as_tenant<R: Read, W: Write>(
         &self,
-        mut reader: R,
-        mut writer: W,
+        reader: R,
+        writer: W,
         tenant: u64,
         quota: Option<TenantQuota>,
     ) -> Result<(), ControlError> {
         let metrics = &self.shared.metrics;
-        let handles =
-            (tenant != LOCAL_TENANT).then(|| TenantMetricHandles::register(metrics, tenant));
-        let mut admitted_batches = 0u64;
-        let mut frames_seen = 0u64;
-        let outcome = loop {
-            let frame = match ControlFrame::read_from(&mut reader) {
-                Ok(None) => break Ok(()), // peer hung up cleanly
-                Ok(Some(frame)) => frame,
-                Err(ControlError::Io(kind, _))
-                    if kind == io::ErrorKind::WouldBlock || kind == io::ErrorKind::TimedOut =>
-                {
-                    // A read deadline fired (net.rs sets one when the
-                    // daemon runs with an idle timeout): the peer stalled.
-                    break Err(ControlError::IdleTimeout);
-                }
-                Err(e) => break Err(e),
-            };
-            frames_seen += 1;
-            metrics.frames_in.inc();
-            let result = match frame {
-                ControlFrame::SubmitBatch {
-                    batch_id,
-                    tdrb,
-                    reference,
-                } => {
-                    metrics.frames_in_submit_batch.inc();
-                    // Resolve the reference before admitting: an unknown
-                    // id is answered in-band (the client surfaces it as
-                    // `ControlError::UnknownReference`) and, like a quota
-                    // refusal, consumes no quota.
-                    let resolved = match reference {
-                        None => Ok(None),
-                        Some(id) => match self.shared.registry.checkout(&id) {
-                            Some(pin) => Ok(Some(Arc::new(pin))),
-                            None => Err(id),
-                        },
-                    };
-                    match resolved {
-                        Err(id) => send(
-                            metrics,
-                            &mut writer,
-                            &ControlFrame::ReferenceAck {
-                                put_id: batch_id,
-                                reference: id,
-                                status: AckStatus::Unknown,
-                                resident_bytes: self.shared.registry.resident_bytes(),
-                            },
-                            &metrics.frames_out_reference_ack,
-                        ),
-                        Ok(pin) => {
-                            if let Some(refusal) =
-                                quota_refusal(quota, admitted_batches, &tdrb, batch_id)
-                            {
-                                metrics.quota_rejections.inc();
-                                if let Some(h) = &handles {
-                                    h.rejected.inc();
-                                }
-                                metrics.trace(TraceKind::QuotaReject, tenant, batch_id);
-                                send(metrics, &mut writer, &refusal, &metrics.frames_out_busy)
-                            } else {
-                                admitted_batches += 1;
-                                self.serve_batch(
-                                    batch_id,
-                                    tdrb,
-                                    pin,
-                                    &mut writer,
-                                    tenant,
-                                    handles.as_ref(),
-                                )
-                            }
-                        }
-                    }
-                }
-                ControlFrame::PutReference { put_id, tdrp } => {
-                    metrics.frames_in_put_reference.inc();
-                    // Verify/CRC failures are *in-band* rejections: the
-                    // connection — and the daemon — keep serving.
-                    let ack = match self.shared.registry.load(&tdrp) {
-                        Ok(load) => ControlFrame::ReferenceAck {
-                            put_id,
-                            reference: load.id,
-                            status: if load.newly_loaded {
-                                AckStatus::Loaded
-                            } else {
-                                AckStatus::AlreadyResident
-                            },
-                            resident_bytes: load.resident_bytes,
-                        },
-                        Err(e) => ControlFrame::ReferenceAck {
-                            put_id,
-                            reference: ReferenceId([0u8; 32]),
-                            status: AckStatus::Rejected(e.to_string()),
-                            resident_bytes: self.shared.registry.resident_bytes(),
-                        },
-                    };
-                    send(
-                        metrics,
-                        &mut writer,
-                        &ack,
-                        &metrics.frames_out_reference_ack,
-                    )
-                }
-                ControlFrame::PutBattery { put_id, json } => {
-                    metrics.frames_in_put_battery.inc();
-                    // Like a refused container: rejections travel in-band,
-                    // the connection and the daemon keep serving.
-                    let ack = match self.install_battery(&json) {
-                        Ok(generation) => ControlFrame::BatteryAck {
-                            put_id,
-                            generation,
-                            status: AckStatus::Loaded,
-                        },
-                        Err(reason) => ControlFrame::BatteryAck {
-                            put_id,
-                            generation: 0,
-                            status: AckStatus::Rejected(reason),
-                        },
-                    };
-                    send(metrics, &mut writer, &ack, &metrics.frames_out_battery_ack)
-                }
-                ControlFrame::StatsRequest => {
-                    metrics.frames_in_stats_request.inc();
-                    let stats = ControlFrame::Stats {
-                        snapshot: metrics.snapshot(),
-                    };
-                    send(metrics, &mut writer, &stats, &metrics.frames_out_stats)
-                }
-                ControlFrame::Shutdown => {
-                    metrics.frames_in_shutdown.inc();
-                    break send(
-                        metrics,
-                        &mut writer,
-                        &ControlFrame::ShutdownAck,
-                        &metrics.frames_out_shutdown_ack,
-                    );
-                }
-                other => Err(ControlError::UnexpectedFrame(other.kind_name())),
-            };
-            if let Err(e) = result {
-                break Err(e);
-            }
+        let mut conn = TenantConn {
+            service: self,
+            tenant,
+            quota,
+            admitted_batches: 0,
+            handles: (tenant != LOCAL_TENANT)
+                .then(|| TenantMetricHandles::register(metrics, tenant)),
         };
-        metrics.conn_frames.observe(frames_seen as f64);
-        if let Err(e) = &outcome {
-            metrics.record_control_error(e);
-        }
-        outcome
+        serve_frames(&mut conn, metrics.registry(), &metrics.wire, reader, writer)
     }
+}
 
-    /// Audit one admitted `SubmitBatch` and write its response: the
-    /// verdicts in submission order, then one `Summary` or `Error`.
-    fn serve_batch<W: Write>(
-        &self,
+/// One daemon connection's serving state: the tenant it submits as, its
+/// quota and what the quota has admitted so far, and its metric handles.
+struct TenantConn<'s> {
+    service: &'s AuditService,
+    tenant: u64,
+    quota: Option<TenantQuota>,
+    admitted_batches: u64,
+    handles: Option<TenantMetricHandles>,
+}
+
+impl RequestHandler for TenantConn<'_> {
+    fn submit_batch<W: Write>(
+        &mut self,
+        out: &mut FrameWriter<'_, W>,
         batch_id: u64,
         tdrb: Vec<u8>,
-        reference: Option<Arc<PinnedReference>>,
-        writer: &mut W,
-        tenant: u64,
-        handles: Option<&TenantMetricHandles>,
+        reference: Option<ReferenceId>,
     ) -> Result<(), ControlError> {
-        let metrics = &self.shared.metrics;
+        let shared = &self.service.shared;
+        // Resolve the reference before admitting: an unknown id is
+        // answered in-band (the client surfaces it as
+        // `ControlError::UnknownReference`) and, like a quota refusal,
+        // consumes no quota.
+        let pin = match reference {
+            None => None,
+            Some(id) => match shared.registry.checkout(&id) {
+                Some(pin) => Some(Arc::new(pin)),
+                None => {
+                    return out.send(&ControlFrame::ReferenceAck {
+                        put_id: batch_id,
+                        reference: id,
+                        status: AckStatus::Unknown,
+                        resident_bytes: shared.registry.resident_bytes(),
+                    })
+                }
+            },
+        };
+        if let Some(refusal) = quota_refusal(self.quota, self.admitted_batches, &tdrb, batch_id) {
+            shared.metrics.quota_rejections.inc();
+            if let Some(h) = &self.handles {
+                h.rejected.inc();
+            }
+            shared
+                .metrics
+                .trace(TraceKind::QuotaReject, self.tenant, batch_id);
+            return out.send(&refusal);
+        }
+        self.admitted_batches += 1;
+        // Audit the admitted batch and write its response: the verdicts
+        // in submission order, then one `Summary` or `Error`.
         let sessions = Sessions::tdrb(io::Cursor::new(tdrb));
-        let mut ticket = match self.enqueue(sessions, reference, tenant, handles) {
+        let handles = self.handles.as_ref();
+        let mut ticket = match self.service.enqueue(sessions, pin, self.tenant, handles) {
             Ok(ticket) => ticket,
             Err(e) => {
-                metrics.batch_errors.inc();
-                let error = ControlFrame::Error {
+                shared.metrics.batch_errors.inc();
+                return out.send(&ControlFrame::Error {
                     batch_id,
                     message: e.to_string(),
-                };
-                return send(metrics, writer, &error, &metrics.frames_out_error);
+                });
             }
         };
         // Re-order scheduling-dependent arrivals into submission order so
         // the response byte stream is deterministic.
-        let mut pending: std::collections::BTreeMap<usize, AuditVerdict> =
-            std::collections::BTreeMap::new();
+        let mut pending: BTreeMap<usize, AuditVerdict> = BTreeMap::new();
         let mut next = 0usize;
         while let Some((index, verdict)) = ticket.recv() {
             pending.insert(index, verdict);
             let mut wrote = false;
             while let Some(verdict) = pending.remove(&next) {
-                ControlFrame::Verdict {
+                out.write(&ControlFrame::Verdict {
                     batch_id,
                     index: next as u64,
                     verdict,
-                }
-                .write_to(writer)?;
-                metrics.frames_out.inc();
-                metrics.frames_out_verdict.inc();
+                })?;
                 next += 1;
                 wrote = true;
             }
@@ -1176,44 +1070,68 @@ impl AuditService {
             // BufWriter) sees verdicts live as workers produce them, not
             // all at once with the summary.
             if wrote {
-                writer.flush().map_err(ControlError::from_io)?;
+                out.flush()?;
             }
         }
         debug_assert!(pending.is_empty(), "verdict indexes are contiguous");
-        match ticket.wait() {
-            Ok(report) => {
-                let summary = ControlFrame::Summary {
-                    batch_id,
-                    workers: report.workers as u64,
-                    peak_resident: report.peak_resident as u64,
-                    summary: report.summary,
-                };
-                send(metrics, writer, &summary, &metrics.frames_out_summary)
-            }
-            Err(e) => {
-                let error = ControlFrame::Error {
-                    batch_id,
-                    message: e.to_string(),
-                };
-                send(metrics, writer, &error, &metrics.frames_out_error)
-            }
+        out.send(&match ticket.wait() {
+            Ok(report) => ControlFrame::Summary {
+                batch_id,
+                workers: report.workers as u64,
+                peak_resident: report.peak_resident as u64,
+                summary: report.summary,
+            },
+            Err(e) => ControlFrame::Error {
+                batch_id,
+                message: e.to_string(),
+            },
+        })
+    }
+
+    fn put_reference(&mut self, put_id: u64, tdrp: Vec<u8>) -> ControlFrame {
+        // Verify/CRC failures are *in-band* rejections: the connection —
+        // and the daemon — keep serving.
+        let registry = &self.service.shared.registry;
+        match registry.load(&tdrp) {
+            Ok(load) => ControlFrame::ReferenceAck {
+                put_id,
+                reference: load.id,
+                status: if load.newly_loaded {
+                    AckStatus::Loaded
+                } else {
+                    AckStatus::AlreadyResident
+                },
+                resident_bytes: load.resident_bytes,
+            },
+            Err(e) => ControlFrame::ReferenceAck {
+                put_id,
+                reference: ReferenceId([0u8; 32]),
+                status: AckStatus::Rejected(e.to_string()),
+                resident_bytes: registry.resident_bytes(),
+            },
         }
     }
-}
 
-/// Write one response frame and flush it. Only a frame that was written
-/// is counted — in `frames_out` and in `kind`, its per-kind counter.
-pub(crate) fn send<W: Write>(
-    metrics: &ServiceMetrics,
-    writer: &mut W,
-    frame: &ControlFrame,
-    kind: &Counter,
-) -> Result<(), ControlError> {
-    frame.write_to(writer)?;
-    writer.flush().map_err(ControlError::from_io)?;
-    metrics.frames_out.inc();
-    kind.inc();
-    Ok(())
+    fn put_battery(&mut self, put_id: u64, json: String) -> ControlFrame {
+        // Like a refused container: rejections travel in-band, the
+        // connection and the daemon keep serving.
+        match self.service.install_battery(&json) {
+            Ok(generation) => ControlFrame::BatteryAck {
+                put_id,
+                generation,
+                status: AckStatus::Loaded,
+            },
+            Err(reason) => ControlFrame::BatteryAck {
+                put_id,
+                generation: 0,
+                status: AckStatus::Rejected(reason),
+            },
+        }
+    }
+
+    fn stats(&self) -> MetricsSnapshot {
+        self.service.metrics_snapshot()
+    }
 }
 
 impl Drop for AuditService {
@@ -2025,6 +1943,49 @@ mod tests {
             .trace_events()
             .iter()
             .any(|e| e.kind == TraceKind::RetrainPublish && e.a == 1 && e.b == clean as u64));
+        service.shutdown();
+    }
+
+    #[test]
+    fn tdr_only_service_with_a_trained_battery_refuses_battery_installs() {
+        let program = echo_program(3);
+        let traces: Vec<Vec<u64>> = mixed_jobs(&program, 6)
+            .into_iter()
+            .map(|j| j.observed_ipds)
+            .collect();
+        let battery = DetectorBattery::trained(&traces);
+        let json = battery.to_json();
+        // A battery is attached, but the default mode scores TDR-only:
+        // an installed battery would never score a session.
+        let service = AuditService::builder(Reference::new(program))
+            .trained_battery(battery)
+            .workers(1)
+            .build()
+            .expect("builds");
+        assert_eq!(service.config().battery, BatteryMode::TdrOnly);
+        let refused = service
+            .install_battery(&json)
+            .expect_err("a TDR-only service refuses installs");
+        assert!(refused.contains("battery"), "{refused}");
+
+        let (client_end, server_end) = duplex();
+        std::thread::scope(|scope| {
+            let server = scope.spawn(|| service.serve(&server_end, &server_end));
+            let mut client = crate::Client::new(client_end);
+            let ack = client.put_battery(1, json).expect("answered in-band");
+            assert!(
+                matches!(&ack.status, AckStatus::Rejected(msg) if msg.contains("battery")),
+                "{:?}",
+                ack.status
+            );
+            assert_eq!(ack.generation, 0);
+            client.shutdown().expect("shutdown ack");
+            server
+                .join()
+                .expect("serve thread")
+                .expect("protocol clean");
+        });
+        assert_eq!(service.metrics_snapshot().counter("retrain_generations"), 0);
         service.shutdown();
     }
 

@@ -36,9 +36,11 @@
 //!      the same jobs (pass the daemon's `--threshold` here too if it
 //!      runs a non-default one, so the baseline's flags agree).
 //!      `--stats` additionally fetches a TDRC `Stats` snapshot after the
-//!      last batch and cross-checks the daemon's counters — including the
-//!      registry counters — against the client's own tally (assumes this
-//!      client is the daemon's only traffic, as in the CI smoke run).
+//!      last batch and cross-checks its counters against the client's own
+//!      tally: the frame counters on either role, plus the service and
+//!      registry counters of a daemon or the routing counters of a
+//!      coordinator (assumes this client is the server's only traffic,
+//!      as in the CI smoke runs).
 //!      Exits nonzero on any mismatch.
 //!
 //! tdrd --export-references DIR
@@ -651,56 +653,61 @@ fn run_server(args: &Args) -> ! {
 }
 
 /// `--stats`: fetch a TDRC `Stats` snapshot over the live connection and
-/// cross-check the daemon's counters against this client's own tally.
-/// Valid when this client is the daemon's only traffic (the CI smoke
-/// run): a daemon that served other clients legitimately counts higher.
+/// cross-check the server's counters against this client's own tally.
+/// Valid when this client is the server's only traffic (the CI smoke
+/// runs): a server that served other clients legitimately counts higher.
 fn check_stats<T: std::io::Read + std::io::Write>(client: &mut Client<T>, args: &Args) {
     let snap = client.stats().unwrap_or_else(|e| {
         eprintln!("tdrd client: stats request failed: {e}");
         exit(1)
     });
-    println!("daemon stats snapshot:\n{}", snap.render());
-    let expected_sessions = (args.sessions * args.batches) as u64;
+    // A coordinator and a daemon run one server loop and export the same
+    // frame counters; the rest of the snapshot depends on the role.
+    let coordinator = snap.counters.contains_key("coord_batches_routed");
+    let role = if coordinator { "coordinator" } else { "daemon" };
+    println!("{role} stats snapshot:\n{}", snap.render());
+    let batches = args.batches as u64;
+    let sessions = args.sessions as u64 * batches;
+    let mut expected = vec![
+        ("frames_in_put_reference", 1),
+        ("frames_in_submit_batch", batches),
+        ("frames_out_verdict", sessions),
+        ("frames_out_summary", batches),
+        ("conn_active", 1),
+    ];
+    if coordinator {
+        expected.extend([
+            ("coord_batches_routed", batches),
+            ("coord_sessions_routed", sessions),
+        ]);
+    } else {
+        // The smoke run registers exactly one reference and audits every
+        // batch against it, so the registry plane is fully determined too.
+        expected.extend([
+            ("sessions_audited", sessions),
+            ("sessions_submitted", sessions),
+            ("batches_completed", batches),
+            ("queue_depth", 0),
+            ("registry_loads", 1),
+            ("registry_hits", batches),
+            ("registry_misses", 0),
+            ("registry_evictions", 0),
+            ("registry_references", 1),
+        ]);
+    }
     let mut bad = 0usize;
-    let mut check = |name: &str, got: u64, want: u64| {
-        if got != want {
-            eprintln!("tdrd client: stats counter {name} = {got}, expected {want}");
+    for (name, want) in expected {
+        let got = snap.counters.get(name).or(snap.gauges.get(name));
+        if got != Some(&want) {
+            eprintln!("tdrd client: stats metric {name} = {got:?}, expected {want}");
             bad += 1;
         }
-    };
-    check(
-        "sessions_audited",
-        snap.counter("sessions_audited"),
-        expected_sessions,
-    );
-    check(
-        "sessions_submitted",
-        snap.counter("sessions_submitted"),
-        expected_sessions,
-    );
-    check(
-        "batches_completed",
-        snap.counter("batches_completed"),
-        args.batches as u64,
-    );
-    check("conn_active", snap.gauge("conn_active"), 1);
-    check("queue_depth", snap.gauge("queue_depth"), 0);
-    // The smoke run registers exactly one reference and audits every
-    // batch against it, so the registry plane is fully determined too.
-    check("registry_loads", snap.counter("registry_loads"), 1);
-    check(
-        "registry_hits",
-        snap.counter("registry_hits"),
-        args.batches as u64,
-    );
-    check("registry_misses", snap.counter("registry_misses"), 0);
-    check("registry_evictions", snap.counter("registry_evictions"), 0);
-    check("registry_references", snap.gauge("registry_references"), 1);
+    }
     if bad > 0 {
-        eprintln!("tdrd client: {bad} stats counters disagree with the client tally");
+        eprintln!("tdrd client: {bad} stats metrics disagree with the client tally");
         exit(1);
     }
-    println!("stats OK: daemon counters match the client's own tally");
+    println!("stats OK: {role} counters match the client's own tally");
 }
 
 fn run_client(addr: &str, args: &Args) {

@@ -7,6 +7,7 @@
 //! survivor, and including the registry (`PutReference` fan-out) and
 //! battery (`PutBattery` fan-out) control planes.
 
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 
 use sanity_tdr::audit_pipeline::{ingest, FleetSummary};
@@ -447,6 +448,103 @@ fn put_battery_fans_out_with_a_fleet_generation_floor() {
     client.shutdown().expect("shutdown ack");
     coordinator.shutdown();
     tdr_only.shutdown().service.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// One server loop: the coordinator exports the daemon's traffic metrics
+// ---------------------------------------------------------------------------
+
+/// Over one TCP connection to `addr`: register `tdrp`, submit each of
+/// `batches` against it (v2), fetch Stats, then send a frame whose CRC
+/// trailer is corrupted. Returns the verdicts received.
+fn traffic_exchange(
+    addr: std::net::SocketAddr,
+    tdrp: &[u8],
+    id: sanity_tdr::ReferenceId,
+    batches: &[Vec<u8>],
+) -> u64 {
+    let mut client = Client::new(TcpStream::connect(addr).expect("connect"));
+    let put = client.put_reference(1, tdrp.to_vec()).expect("put");
+    assert_eq!(put.status, AckStatus::Loaded);
+    let mut verdicts = 0u64;
+    for (b, tdrb) in batches.iter().enumerate() {
+        let outcome = client
+            .submit(10 + b as u64, tdrb.clone(), Some(id), |_, _| {})
+            .expect("v2 batch");
+        outcome.result.expect("audits");
+        verdicts += outcome.verdicts.len() as u64;
+    }
+    client.stats().expect("stats");
+    let mut bad = ControlFrame::StatsRequest.encode();
+    *bad.last_mut().expect("CRC trailer") ^= 0xff;
+    let mut stream = client.into_inner();
+    stream.write_all(&bad).expect("send the corrupt frame");
+    // The server ends the connection on the bad frame without a reply.
+    let mut rest = Vec::new();
+    let _ = stream.read_to_end(&mut rest);
+    assert!(rest.is_empty(), "no reply to a corrupt frame");
+    verdicts
+}
+
+/// The daemon and the coordinator run one server loop, so a coordinator's
+/// Stats carry the daemon's frame, byte and control-error metrics, and
+/// the same exchange moves them identically on both roles.
+#[test]
+fn coordinator_and_daemon_count_the_same_traffic() {
+    let sanity = echo_sanity();
+    let tdrp = sanity_tdr::jbc::container::seal(sanity.program());
+    let id = sanity_tdr::jbc::container::reference_id(sanity.program());
+    let batches = [echo_jobs(&sanity, 0..4), echo_jobs(&sanity, 4..7)]
+        .map(|jobs| ingest::encode_batch(&jobs));
+    let sessions = 7u64;
+
+    let backends: Vec<TcpDaemon> = (0..2).map(|_| backend(&sanity, 1)).collect();
+    let addrs: Vec<String> = backends
+        .iter()
+        .map(|b| b.local_addr().to_string())
+        .collect();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+    let coordinator = serve_coordinator(listener, addrs).expect("coordinator starts");
+    let sent = traffic_exchange(coordinator.local_addr(), &tdrp, id, &batches);
+    assert_eq!(sent, sessions);
+    let coord = coordinator.shutdown().snapshot;
+    for b in backends {
+        b.shutdown().service.shutdown();
+    }
+
+    let daemon = backend(&sanity, 1);
+    let sent = traffic_exchange(daemon.local_addr(), &tdrp, id, &batches);
+    assert_eq!(sent, sessions);
+    let report = daemon.shutdown();
+    let solo = report.snapshot;
+    report.service.shutdown();
+
+    for (name, want) in [
+        ("frames_in", 4),
+        ("frames_in_put_reference", 1),
+        ("frames_in_submit_batch", 2),
+        ("frames_in_stats_request", 1),
+        ("frames_out_reference_ack", 1),
+        ("frames_out_verdict", sessions),
+        ("frames_out_summary", 2),
+        ("frames_out_stats", 1),
+        ("control_errors", 1),
+        ("control_err_bad_checksum", 1),
+    ] {
+        assert_eq!(coord.counter(name), want, "coordinator {name}");
+        assert_eq!(solo.counter(name), coord.counter(name), "daemon {name}");
+    }
+    assert!(coord.counter("bytes_in") > 0);
+    assert!(coord.counter("bytes_out") > 0);
+    assert_eq!(
+        solo.counter("bytes_in"),
+        coord.counter("bytes_in"),
+        "both roles read the same request bytes"
+    );
+    for snapshot in [&coord, &solo] {
+        let conn_frames = snapshot.histograms.get("conn_frames");
+        assert_eq!(conn_frames.map(|h| h.total), Some(1), "one connection");
+    }
 }
 
 // ---------------------------------------------------------------------------
