@@ -794,12 +794,13 @@ impl AuditService {
     /// (`Client::put_battery`). Returns the new generation number.
     ///
     /// Refused (with the reason) when the JSON fails to parse, the
-    /// battery is untrained, or the service was built without a battery
-    /// (TDR-only scoring — an installed battery would silently never
-    /// score, so pretending to accept it would hide a fleet
-    /// misconfiguration). In-flight sessions keep the generation they
-    /// were submitted under; only subsequent submissions see the new one
-    /// — the same swap discipline as cross-batch retraining.
+    /// battery is untrained, or the service scores TDR-only
+    /// ([`BatteryMode::TdrOnly`], even with a battery attached — an
+    /// installed battery would silently never score, so pretending to
+    /// accept it would hide a fleet misconfiguration). In-flight sessions
+    /// keep the generation they were submitted under; only subsequent
+    /// submissions see the new one — the same swap discipline as
+    /// cross-batch retraining.
     pub fn install_battery(&self, json: &str) -> Result<u64, String> {
         let battery =
             DetectorBattery::from_json(json).map_err(|e| format!("battery JSON refused: {e}"))?;
@@ -2084,9 +2085,10 @@ mod tests {
         };
         assert_eq!(first.counter("sessions_audited"), 0);
         assert_eq!(first.counter("frames_in_stats_request"), 1);
-        // Last two frames: the post-batch snapshot (serve_batch drains the
-        // ticket before the next request, so every session is audited by
-        // the time the second StatsRequest is read) and the shutdown ack.
+        // Last two frames: the post-batch snapshot (the SubmitBatch
+        // handler drains the ticket before the next request, so every
+        // session is audited by the time the second StatsRequest is read)
+        // and the shutdown ack.
         let ControlFrame::Stats { snapshot: second } = &frames[frames.len() - 2] else {
             panic!("penultimate response is Stats, got {frames:?}");
         };
