@@ -1881,6 +1881,30 @@ mod tests {
         ReferenceId(id)
     }
 
+    /// The per-kind counter table is indexed by kind byte: each kind must
+    /// land on the counter named after it, `frames_in_*` exactly for the
+    /// request kinds.
+    #[test]
+    fn every_frame_kind_counts_under_its_own_name() {
+        let mut seen = std::collections::BTreeSet::new();
+        for frame in every_frame() {
+            seen.insert(frame.kind_index());
+            let mut snake = String::new();
+            for (i, c) in frame.kind_name().chars().enumerate() {
+                if c.is_ascii_uppercase() && i > 0 {
+                    snake.push('_');
+                }
+                snake.push(c.to_ascii_lowercase());
+            }
+            let direction = if frame.is_request() { "in" } else { "out" };
+            assert_eq!(
+                FRAME_KIND_COUNTERS[frame.kind_index()],
+                format!("frames_{direction}_{snake}")
+            );
+        }
+        assert_eq!(seen.len(), FRAME_KIND_COUNTERS.len(), "every kind covered");
+    }
+
     #[test]
     fn every_frame_roundtrips_bit_identically() {
         for frame in every_frame() {
